@@ -29,7 +29,7 @@ use work::{Inputs, Scale, Workload};
 /// End-to-end metrics, printed by every untraced run: (name, unit).
 const END_TO_END: [(&str, &str); 3] = [
     ("setup_s", "s"),
-    ("items_per_s", "1/s"),
+    ("items_per_ref_cpu_s", "1/s"),
     ("peak_rss_mb", "MiB"),
 ];
 
@@ -83,7 +83,7 @@ const PER_LAYER: [(&str, &str); 45] = [
 ];
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 7;
 /// Seed used when `--seed` is absent: the engine's default `base_seed`.
 const DEFAULT_SEED: u64 = 0xD15A66;
 /// Scratch space for shard caches and span dumps, under the working directory.
@@ -139,17 +139,17 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Build the inputs and warm up on the smoke-size inputs. The first set-up is timed from process start; the last one's
-/// inputs are used.
-fn setup(args: &Args, work_dir: &Path, process_start: Instant) -> (Inputs, f64) {
+/// Build the inputs and warm up on the smoke-size inputs, `SETUP_REPS`
+/// times; return the last set-up's inputs and the median set-up time in
+/// reference CPU seconds: the median of the set-ups' process CPU seconds,
+/// scaled by the median of the probes run after each. The first set-up
+/// counts from process start.
+fn setup(args: &Args, work_dir: &Path, probe: &mut host::Probe) -> (Inputs, f64) {
     let mut times = Vec::with_capacity(SETUP_REPS);
+    let mut probes = Vec::with_capacity(SETUP_REPS);
     let mut inputs = None;
     for rep in 0..SETUP_REPS {
-        let started = if rep == 0 {
-            process_start
-        } else {
-            Instant::now()
-        };
+        let started = if rep == 0 { 0.0 } else { host::process_cpu_s() };
         let warmup = work::build_inputs(
             args.workload,
             args.seed,
@@ -165,11 +165,12 @@ fn setup(args: &Args, work_dir: &Path, process_start: Instant) -> (Inputs, f64) 
             args.scale,
             work_dir,
         ));
-        times.push(started.elapsed().as_secs_f64());
+        times.push(host::process_cpu_s() - started);
+        probes.push(probe.seconds());
     }
     (
         inputs.expect("at least one set-up"),
-        layers::median(&mut times),
+        layers::median(&mut times) * host::PROBE_REF_S / layers::median(&mut probes),
     )
 }
 
@@ -190,15 +191,19 @@ impl Outcome {
     }
 }
 
-fn run_untraced(args: &Args, inputs: &Inputs, setup_s: f64) -> Outcome {
+fn run_untraced(args: &Args, inputs: &Inputs, probe: &mut host::Probe, setup_s: f64) -> Outcome {
     let region = Instant::now();
     let mut ops = Vec::new();
+    let mut probes = vec![probe.seconds()];
     loop {
         ops.push(work::run_op(inputs));
+        probes.push(probe.seconds());
         if region.elapsed().as_secs_f64() >= args.seconds {
             break;
         }
     }
+    // Each operation is scaled by the mean of the probes on either side.
+    let probe_s: Vec<f64> = probes.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
     let digest = ops[0].digest;
     let mut outcome = Outcome {
         attempted: 0,
@@ -209,7 +214,10 @@ fn run_untraced(args: &Args, inputs: &Inputs, setup_s: f64) -> Outcome {
         let cold = op
             .cold_s
             .map_or(String::new(), |c| format!(" cold_s={c:.6}"));
-        println!("op {i} seconds={:.6} items={}{cold}", op.seconds, op.items);
+        println!(
+            "op {i} seconds={:.6} cpu_seconds={:.6} probe_s={:.6} items={}{cold}",
+            op.seconds, op.cpu_seconds, probe_s[i], op.items
+        );
         let mut problems = op.failures.clone();
         if op.digest != digest {
             problems.push(format!("digest {:016x} differs from op 0", op.digest));
@@ -233,7 +241,13 @@ fn run_untraced(args: &Args, inputs: &Inputs, setup_s: f64) -> Outcome {
     );
     let values = [
         setup_s,
-        layers::median(&mut ops.iter().map(|o| o.items / o.seconds).collect::<Vec<_>>()),
+        layers::median(
+            &mut ops
+                .iter()
+                .zip(&probe_s)
+                .map(|(o, p)| o.items / o.cpu_seconds * (p / host::PROBE_REF_S))
+                .collect::<Vec<_>>(),
+        ),
         host::peak_rss_mb().unwrap_or(f64::NAN),
     ];
     outcome.metrics = END_TO_END
@@ -364,11 +378,12 @@ fn main() -> ExitCode {
     let work_dir =
         PathBuf::from(WORK_DIR).join(format!("{}-{}", args.workload.name(), std::process::id()));
 
-    let (inputs, setup_s) = setup(&args, &work_dir, process_start);
+    let mut probe = host::Probe::new(threads);
+    let (inputs, setup_s) = setup(&args, &work_dir, &mut probe);
     let mut outcome = if args.trace {
         run_traced(&args, &inputs, threads, &work_dir)
     } else {
-        run_untraced(&args, &inputs, setup_s)
+        run_untraced(&args, &inputs, &mut probe, setup_s)
     };
     work::empty_dir(&work_dir);
 

@@ -224,6 +224,8 @@ pub fn empty_dir(dir: &Path) {
 pub struct OpOutcome {
     /// Timed seconds: the grid runs, the warm job, or the experiments.
     pub seconds: f64,
+    /// CPU seconds of the process over the same timed calls.
+    pub cpu_seconds: f64,
     /// Work items in the timed part: scenario rows, or simulated accesses.
     pub items: f64,
     /// Seconds of the cold job (`job-shards` only). Not in `seconds`: the
@@ -234,6 +236,29 @@ pub struct OpOutcome {
     pub digest: u64,
     /// Failed output checks, one line each.
     pub failures: Vec<String>,
+}
+
+/// Wall and process CPU time since a start point.
+struct Stopwatch {
+    wall: Instant,
+    cpu_s: f64,
+}
+
+impl Stopwatch {
+    fn start() -> Self {
+        Stopwatch {
+            wall: Instant::now(),
+            cpu_s: crate::host::process_cpu_s(),
+        }
+    }
+
+    /// (wall seconds, CPU seconds) since the start.
+    fn elapsed(&self) -> (f64, f64) {
+        (
+            self.wall.elapsed().as_secs_f64(),
+            crate::host::process_cpu_s() - self.cpu_s,
+        )
+    }
 }
 
 /// Warm up on `inputs` without checking outputs. A job warms its solve and
@@ -292,18 +317,22 @@ pub fn run_op(inputs: &Inputs) -> OpOutcome {
     match inputs {
         Inputs::Grids(grids) => {
             let mut seconds = 0.0;
+            let mut cpu_seconds = 0.0;
             let mut items = 0.0;
             let mut digest = FNV_OFFSET;
             for grid in grids {
-                let started = Instant::now();
+                let started = Stopwatch::start();
                 let report = grid.run();
-                seconds += started.elapsed().as_secs_f64();
+                let (wall, cpu) = started.elapsed();
+                seconds += wall;
+                cpu_seconds += cpu;
                 items += report.rows.len() as f64;
                 check_grid_report(grid, &report, &mut failures);
                 digest = fnv1a(digest, report.to_json().as_bytes());
             }
             OpOutcome {
                 seconds,
+                cpu_seconds,
                 items,
                 cold_s: None,
                 digest,
@@ -320,9 +349,9 @@ pub fn run_op(inputs: &Inputs) -> OpOutcome {
             let started = Instant::now();
             let cold = runner.run(spec);
             let cold_s = started.elapsed().as_secs_f64();
-            let started = Instant::now();
+            let started = Stopwatch::start();
             let warm = runner.run(spec);
-            let warm_s = started.elapsed().as_secs_f64();
+            let (warm_s, warm_cpu_s) = started.elapsed();
             let mut digest = FNV_OFFSET;
             match (cold, warm) {
                 (Ok(cold), Ok(warm)) => {
@@ -353,6 +382,7 @@ pub fn run_op(inputs: &Inputs) -> OpOutcome {
             }
             OpOutcome {
                 seconds: warm_s,
+                cpu_seconds: warm_cpu_s,
                 items: rows as f64,
                 cold_s: Some(cold_s),
                 digest,
@@ -364,10 +394,10 @@ pub fn run_op(inputs: &Inputs) -> OpOutcome {
             gpu,
             sim_accesses,
         } => {
-            let started = Instant::now();
+            let started = Stopwatch::start();
             let cpu_results = run_cpu_experiment(cpu);
             let gpu_results = run_gpu_experiment(gpu);
-            let seconds = started.elapsed().as_secs_f64();
+            let (seconds, cpu_seconds) = started.elapsed();
             if cpu_results.len() != CPU_RESULTS {
                 failures.push(format!("{} CPU results", cpu_results.len()));
             }
@@ -396,6 +426,7 @@ pub fn run_op(inputs: &Inputs) -> OpOutcome {
             }
             OpOutcome {
                 seconds,
+                cpu_seconds,
                 items: *sim_accesses as f64,
                 cold_s: None,
                 digest,
