@@ -1,16 +1,20 @@
 //! Hot-path micro-benchmarks: the five kernels the sweep engine spends its
-//! time in, grouped so the criterion shim's `PD_BENCH_DIR` writer emits one
-//! trajectory snapshot per group (`BENCH_flowsim.json`,
-//! `BENCH_timeline.json`, `BENCH_flexgrid.json`, `BENCH_decode.json`,
-//! `BENCH_grid.json`).
+//! time in, plus the CPU simulator behind Section VI-B, grouped so the
+//! criterion shim's `PD_BENCH_DIR` writer emits one trajectory snapshot per
+//! group (`BENCH_flowsim.json`, `BENCH_timeline.json`,
+//! `BENCH_flexgrid.json`, `BENCH_decode.json`, `BENCH_grid.json`,
+//! `BENCH_cpusim.json`).
 //!
 //! Each group pairs the allocating entry point with its arena-reusing
-//! counterpart (or, for the timeline, the incremental solver with the
-//! exhaustive oracle), so a regression in either the steady-state path or
-//! the reuse machinery shows up as a relative shift inside the same file.
+//! counterpart (or, for the timeline, flex-grid and CPU simulator, the fast
+//! path with its from-scratch oracle), so a regression in either the
+//! steady-state path or the reuse machinery shows up as a relative shift
+//! inside the same file.
 //! `docs/PERFORMANCE.md` explains how to run these and read the snapshots.
 
+use cpusim::{CoreKind, Simulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use disagg_core::cpu_experiments::CpuExperimentConfig;
 use disagg_core::sweep::SweepGrid;
 use fabric::flexgrid::{
     AdmissionPolicy, DefragPolicy, FlexGridArena, FlexGridConfig, FlexGridSimulator, SpectrumPolicy,
@@ -248,12 +252,58 @@ fn bench_grid(c: &mut Criterion) {
     g.finish();
 }
 
+/// One CPU benchmark's latency sweep — Rodinia `nw`, 40k accesses, both
+/// core models, the paper's five latency points, warm-up on — through the
+/// per-point `Simulator::run` oracle (ten full hierarchy simulations) and
+/// through one `Simulator::record` re-timed ten times.
+fn bench_cpusim(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cpusim");
+    g.sample_size(10);
+    let cfg = CpuExperimentConfig {
+        accesses_per_benchmark: 40_000,
+        ..CpuExperimentConfig::default()
+    };
+    let nw = workloads::cpu_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "nw")
+        .expect("nw is registered");
+    let trace = cfg.trace_for(&nw);
+    let points: Vec<_> = CoreKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            let base = cfg.cpu_config(kind);
+            cfg.latencies_ns
+                .iter()
+                .map(move |&l| base.with_extra_latency_ns(l))
+        })
+        .collect();
+    g.bench_function("oracle_per_point/nw_40k", |b| {
+        b.iter(|| {
+            points
+                .iter()
+                .map(|&p| Simulator::new(p).with_warmup(true).run(&trace).cycles)
+                .sum::<u64>()
+        })
+    });
+    g.bench_function("record_retime/nw_40k", |b| {
+        b.iter(|| {
+            let recording = Simulator::new(points[0]).with_warmup(true).record(&trace);
+            points
+                .iter()
+                .map(|p| recording.retime(p).cycles)
+                .sum::<u64>()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     hotpath,
     bench_flowsim,
     bench_timeline,
     bench_flexgrid,
     bench_decode,
-    bench_grid
+    bench_grid,
+    bench_cpusim
 );
 criterion_main!(hotpath);

@@ -12,7 +12,9 @@
 //! * Fig. 12 (CPU half) — speedup of the photonic design (35 ns) over the
 //!   best electronic design (85 ns).
 
-use cpusim::{pearson_correlation, CoreKind, CpuConfig, SimResult, Simulator};
+use cpusim::{
+    pearson_correlation, CoreKind, CpuConfig, HierarchyRecording, MemoryTrace, SimResult, Simulator,
+};
 use serde::{Deserialize, Serialize};
 use workloads::cpu::{cpu_benchmarks, CpuBenchmark, CpuSuite, InputSize};
 
@@ -62,6 +64,39 @@ impl CpuExperimentConfig {
             warmup: true,
             scale_divisor: 8,
         }
+    }
+
+    /// Check the sweep before any simulation runs: at least one core kind,
+    /// finite non-negative latencies including the 0 ns baseline, and cache
+    /// geometries that stay valid after scaling.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.core_kinds.is_empty() {
+            return Err("core_kinds is empty".into());
+        }
+        if let Some(l) = self
+            .latencies_ns
+            .iter()
+            .find(|l| !(l.is_finite() && **l >= 0.0))
+        {
+            return Err(format!(
+                "latency {l} ns is not a finite non-negative number"
+            ));
+        }
+        if !self.latencies_ns.contains(&0.0) {
+            return Err(format!(
+                "latencies_ns {:?} must include the 0 ns baseline",
+                self.latencies_ns
+            ));
+        }
+        for &kind in &self.core_kinds {
+            self.cpu_config(kind).validate().map_err(|e| {
+                format!(
+                    "scale_divisor {} leaves {kind} caches invalid: {e}",
+                    self.scale_divisor
+                )
+            })?;
+        }
+        Ok(())
     }
 
     /// The CPU configuration for a core kind with this experiment's memory
@@ -132,36 +167,69 @@ impl CpuBenchmarkResult {
     }
 }
 
-fn run_single(
+/// Every configuration's results at every latency on one trace. A
+/// configuration whose cache hierarchy matches the previous one's re-times
+/// that recording; any other records its own.
+fn sweep_configs(
+    trace: &MemoryTrace,
+    configs: &[CpuConfig],
+    warmup: bool,
+    latencies_ns: &[f64],
+) -> Vec<Vec<SimResult>> {
+    let mut recording: Option<HierarchyRecording> = None;
+    configs
+        .iter()
+        .map(|config| {
+            let recording = match &recording {
+                Some(r) if r.config().same_hierarchy(config) => r,
+                _ => recording.insert(Simulator::new(*config).with_warmup(warmup).record(trace)),
+            };
+            latencies_ns
+                .iter()
+                .map(|&extra| recording.retime(&config.with_extra_latency_ns(extra)))
+                .collect()
+        })
+        .collect()
+}
+
+/// One benchmark on every configured core kind: one trace, recorded once
+/// per distinct cache hierarchy, re-timed at every latency point.
+fn run_benchmark(
+    benchmark: &CpuBenchmark,
+    config: &CpuExperimentConfig,
+) -> Vec<CpuBenchmarkResult> {
+    let trace = config.trace_for(benchmark);
+    let configs: Vec<CpuConfig> = config
+        .core_kinds
+        .iter()
+        .map(|&kind| config.cpu_config(kind))
+        .collect();
+    sweep_configs(&trace, &configs, config.warmup, &config.latencies_ns)
+        .iter()
+        .zip(&config.core_kinds)
+        .map(|(results, &core_kind)| summarize(benchmark, core_kind, &config.latencies_ns, results))
+        .collect()
+}
+
+/// Fold one core kind's per-latency results into slowdowns against the
+/// 0 ns baseline.
+fn summarize(
     benchmark: &CpuBenchmark,
     core_kind: CoreKind,
-    config: &CpuExperimentConfig,
+    latencies_ns: &[f64],
+    results: &[SimResult],
 ) -> CpuBenchmarkResult {
-    let trace = config.trace_for(benchmark);
-    let base_cfg = config.cpu_config(core_kind);
-    let results: Vec<SimResult> = config
-        .latencies_ns
+    let baseline = latencies_ns
         .iter()
-        .map(|&extra| {
-            Simulator::new(base_cfg.with_extra_latency_ns(extra))
-                .with_warmup(config.warmup)
-                .run(&trace)
-        })
-        .collect();
-    let baseline = results
-        .iter()
-        .zip(config.latencies_ns.iter())
-        .find(|(_, &l)| l == 0.0)
-        .map(|(r, _)| *r)
-        .unwrap_or(results[0]);
-    let slowdowns = config
-        .latencies_ns
+        .position(|&l| l == 0.0)
+        .map(|i| results[i])
+        .expect("validated configurations include the 0 ns baseline");
+    let slowdowns = latencies_ns
         .iter()
         .zip(results.iter())
         .map(|(&l, r)| (l, r.slowdown_vs(&baseline)))
         .collect();
-    let cycles = config
-        .latencies_ns
+    let cycles = latencies_ns
         .iter()
         .zip(results.iter())
         .map(|(&l, r)| (l, r.cycles))
@@ -185,20 +253,23 @@ pub fn run_cpu_experiment(config: &CpuExperimentConfig) -> Vec<CpuBenchmarkResul
 }
 
 /// Run the experiment for a subset of benchmarks (used by Fig. 11 and the
-/// examples).
+/// examples). Results are benchmark-major, core-kind-minor.
+///
+/// Panics with `invalid CPU experiment configuration` if
+/// [`CpuExperimentConfig::validate`] rejects `config`.
 pub fn run_cpu_experiment_subset(
     config: &CpuExperimentConfig,
     filter: impl Fn(&CpuBenchmark) -> bool + Sync,
 ) -> Vec<CpuBenchmarkResult> {
+    if let Err(e) = config.validate() {
+        panic!("invalid CPU experiment configuration: {e}");
+    }
     let benchmarks: Vec<CpuBenchmark> =
         cpu_benchmarks().into_iter().filter(|b| filter(b)).collect();
-    let mut jobs: Vec<(CpuBenchmark, CoreKind)> = Vec::new();
-    for b in &benchmarks {
-        for &k in &config.core_kinds {
-            jobs.push((b.clone(), k));
-        }
-    }
-    crate::sweep::parallel_map(&jobs, |(b, k)| run_single(b, *k, config))
+    crate::sweep::parallel_map(&benchmarks, |b| run_benchmark(b, config))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Per-suite, per-input-size slowdown summary: one bar group of Fig. 6/8.
@@ -350,10 +421,131 @@ pub fn electronic_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn quick_results() -> Vec<CpuBenchmarkResult> {
-        // Small but complete: all 57 benchmarks, in-order, 0 and 35 ns.
-        run_cpu_experiment(&CpuExperimentConfig::quick())
+    /// Small but complete: all 57 benchmarks, in-order, 0 and 35 ns. Run
+    /// once and shared by every test that reads it.
+    fn quick_results() -> &'static [CpuBenchmarkResult] {
+        static RESULTS: OnceLock<Vec<CpuBenchmarkResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| run_cpu_experiment(&CpuExperimentConfig::quick()))
+    }
+
+    /// Per-point `Simulator::run` results, the from-scratch oracle.
+    fn oracle(
+        trace: &MemoryTrace,
+        config: CpuConfig,
+        warmup: bool,
+        latencies_ns: &[f64],
+    ) -> Vec<SimResult> {
+        latencies_ns
+            .iter()
+            .map(|&l| {
+                Simulator::new(config.with_extra_latency_ns(l))
+                    .with_warmup(warmup)
+                    .run(trace)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn experiment_matches_per_point_oracle_on_every_benchmark() {
+        // quick()'s 1/8-scale memory system; traces shortened from 60k so
+        // the 456 oracle runs stay cheap in debug builds.
+        let cfg = CpuExperimentConfig {
+            accesses_per_benchmark: 6_000,
+            latencies_ns: vec![0.0, 25.0, 35.0, 85.0],
+            core_kinds: vec![CoreKind::InOrder, CoreKind::OutOfOrder],
+            ..CpuExperimentConfig::quick()
+        };
+        let results = run_cpu_experiment_subset(&cfg, |_| true);
+        let expected: Vec<CpuBenchmarkResult> =
+            crate::sweep::parallel_map(&cpu_benchmarks(), |b| {
+                let trace = cfg.trace_for(b);
+                cfg.core_kinds
+                    .iter()
+                    .map(|&kind| {
+                        let sims =
+                            oracle(&trace, cfg.cpu_config(kind), cfg.warmup, &cfg.latencies_ns);
+                        summarize(b, kind, &cfg.latencies_ns, &sims)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(results.len(), 57 * 2);
+        assert_eq!(results, expected);
+    }
+
+    #[test]
+    fn configs_with_different_hierarchies_are_recorded_again() {
+        let cfg = CpuExperimentConfig {
+            accesses_per_benchmark: 5_000,
+            ..CpuExperimentConfig::quick()
+        };
+        let bench = cpu_benchmarks()
+            .into_iter()
+            .find(|b| b.name == "nw")
+            .expect("nw is registered");
+        let trace = cfg.trace_for(&bench);
+        let ino = cfg.cpu_config(CoreKind::InOrder);
+        let mut small_llc = cfg.cpu_config(CoreKind::OutOfOrder);
+        small_llc.llc.capacity_bytes /= 4;
+        let mut long_rows = ino;
+        long_rows.memory.row_bytes *= 4;
+        // Reuse, re-record, re-record, re-record, reuse.
+        let configs = [ino, ino, small_llc, long_rows, ino, ino];
+        let latencies = [0.0, 35.0, 85.0];
+        for warmup in [false, true] {
+            let got = sweep_configs(&trace, &configs, warmup, &latencies);
+            let expected: Vec<Vec<SimResult>> = configs
+                .iter()
+                .map(|&c| oracle(&trace, c, warmup, &latencies))
+                .collect();
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn validate_accepts_the_shipped_configurations() {
+        assert_eq!(CpuExperimentConfig::default().validate(), Ok(()));
+        assert_eq!(CpuExperimentConfig::quick().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_each_bad_input() {
+        let with = |f: fn(&mut CpuExperimentConfig)| {
+            let mut cfg = CpuExperimentConfig::quick();
+            f(&mut cfg);
+            cfg.validate().expect_err("must be rejected")
+        };
+        assert!(with(|c| c.latencies_ns.clear()).contains("0 ns baseline"));
+        assert!(with(|c| c.latencies_ns = vec![25.0, 35.0]).contains("0 ns baseline"));
+        assert!(with(|c| c.latencies_ns.push(f64::NAN)).contains("NaN ns"));
+        assert!(with(|c| c.latencies_ns.push(-5.0)).contains("-5 ns"));
+        assert!(with(|c| c.latencies_ns.push(f64::INFINITY)).contains("inf ns"));
+        assert!(with(|c| c.core_kinds.clear()).contains("core_kinds is empty"));
+        assert!(with(|c| c.scale_divisor = 3).contains("scale_divisor 3"));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CPU experiment configuration: latencies_ns [] must include")]
+    fn empty_latency_sweep_panics_at_the_boundary() {
+        let cfg = CpuExperimentConfig {
+            latencies_ns: vec![],
+            ..CpuExperimentConfig::quick()
+        };
+        run_cpu_experiment_subset(&cfg, |b| b.name == "nw");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CPU experiment configuration: core_kinds is empty")]
+    fn empty_core_kinds_panic_at_the_boundary() {
+        let cfg = CpuExperimentConfig {
+            core_kinds: vec![],
+            ..CpuExperimentConfig::quick()
+        };
+        run_cpu_experiment(&cfg);
     }
 
     #[test]
@@ -419,7 +611,7 @@ mod tests {
     #[test]
     fn suite_summaries_cover_all_suites() {
         let results = quick_results();
-        let summaries = summarize_by_suite(&results, 35.0);
+        let summaries = summarize_by_suite(results, 35.0);
         assert!(summaries.iter().any(|s| s.suite == CpuSuite::Parsec));
         assert!(summaries.iter().any(|s| s.suite == CpuSuite::Nas));
         assert!(summaries.iter().any(|s| s.suite == CpuSuite::Rodinia));
@@ -432,7 +624,7 @@ mod tests {
     #[test]
     fn parsec_large_slows_down_more_than_medium() {
         let results = quick_results();
-        let summaries = summarize_by_suite(&results, 35.0);
+        let summaries = summarize_by_suite(results, 35.0);
         let get = |input| {
             summaries
                 .iter()
@@ -451,7 +643,7 @@ mod tests {
     fn slowdown_correlates_with_llc_miss_rate() {
         // Fig. 7: Pearson coefficients of 0.76-0.89 for Rodinia / PARSEC.
         let results = quick_results();
-        let corr = miss_rate_correlation(&results, 35.0, |r| r.core_kind == CoreKind::InOrder);
+        let corr = miss_rate_correlation(results, 35.0, |r| r.core_kind == CoreKind::InOrder);
         let r = corr.pearson.expect("correlation should be defined");
         assert!(
             r > 0.6,

@@ -8,17 +8,6 @@
 use crate::config::CacheConfig;
 use serde::{Deserialize, Serialize};
 
-/// One cache way within a set: a tag plus LRU and dirty metadata.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    /// Monotonic counter value of the most recent touch (larger = more
-    /// recently used).
-    last_use: u64,
-}
-
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupResult {
@@ -77,7 +66,14 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    // Way state in set-major arrays: set `s` owns indices
+    // `s * assoc..(s + 1) * assoc`. A stamp is the use-counter value of the
+    // way's latest touch (larger = more recent); 0 marks an invalid way.
+    // All-zero initial state lets the allocator hand out untouched pages.
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    assoc: usize,
     set_mask: u64,
     line_shift: u32,
     use_counter: u64,
@@ -92,9 +88,14 @@ impl Cache {
             .validate()
             .expect("invalid cache geometry passed to Cache::new");
         let set_count = config.sets();
+        let assoc = config.associativity as usize;
+        let ways = set_count as usize * assoc;
         Cache {
             config,
-            sets: vec![vec![Way::default(); config.associativity as usize]; set_count as usize],
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
+            dirty: vec![false; ways],
+            assoc,
             set_mask: set_count - 1,
             line_shift: config.line_bytes.trailing_zeros(),
             use_counter: 0,
@@ -119,22 +120,52 @@ impl Cache {
 
     /// Clear contents and statistics.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = Way::default();
-            }
-        }
+        self.stamps.fill(0);
+        self.dirty.fill(false);
         self.stats = CacheStats::default();
         self.use_counter = 0;
     }
 
+    /// The set index and tag of `addr`, and the way holding its line, if
+    /// resident.
     #[inline]
-    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
+    fn locate(&self, addr: u64) -> (usize, u64, Option<usize>) {
         let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let set_idx = (line & self.set_mask) as usize;
+        let tag = line >> self.set_mask.count_ones();
+        let base = set_idx * self.assoc;
+        let ways = base..base + self.assoc;
+        let way = self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .position(|(&t, &stamp)| stamp != 0 && t == tag)
+            .map(|w| base + w);
+        (set_idx, tag, way)
+    }
+
+    /// Install `tag` in set `set_idx` over an invalid way if there is one,
+    /// else the LRU way. Returns the evicted line's address if it was dirty.
+    fn fill(&mut self, set_idx: usize, tag: u64, dirty: bool) -> Option<u64> {
+        let base = set_idx * self.assoc;
+        // Invalid ways stamp 0 and valid stamps are distinct, so the first
+        // minimum is the first invalid way, or else the LRU way.
+        let (lru, _) = self.stamps[base..base + self.assoc]
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &stamp)| stamp)
+            .expect("cache set has at least one way");
+        let victim = base + lru;
+        let writeback = if self.stamps[victim] != 0 && self.dirty[victim] {
+            self.stats.writebacks += 1;
+            let line = (self.tags[victim] << self.set_mask.count_ones()) | set_idx as u64;
+            Some(line << self.line_shift)
+        } else {
+            None
+        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.use_counter;
+        self.dirty[victim] = dirty;
+        writeback
     }
 
     /// Access the cache. On a miss the line is allocated (write-allocate) and
@@ -143,58 +174,22 @@ impl Cache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupResult {
         self.use_counter += 1;
         self.stats.accesses += 1;
-        let (set_idx, tag) = self.index_and_tag(addr);
-        let set_bits = self.set_mask.count_ones();
-        let line_shift = self.line_shift;
-        let use_counter = self.use_counter;
-        let set = &mut self.sets[set_idx];
-
-        // Hit path.
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_use = use_counter;
-            if is_write {
-                way.dirty = true;
-            }
+        let (set_idx, tag, way) = self.locate(addr);
+        if let Some(way) = way {
+            self.stamps[way] = self.use_counter;
+            self.dirty[way] |= is_write;
             self.stats.hits += 1;
             return LookupResult::Hit;
         }
-
-        // Miss: find the victim (an invalid way if present, else the LRU way).
         self.stats.misses += 1;
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .find(|(_, w)| !w.valid)
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
-                    .map(|(i, _)| i)
-                    .expect("cache set has at least one way")
-            });
-
-        let victim = set[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
-            self.stats.writebacks += 1;
-            Some(((victim.tag << set_bits) | set_idx as u64) << line_shift)
-        } else {
-            None
-        };
-
-        set[victim_idx] = Way {
-            valid: true,
-            dirty: is_write,
-            tag,
-            last_use: use_counter,
-        };
-        LookupResult::Miss { writeback }
+        LookupResult::Miss {
+            writeback: self.fill(set_idx, tag, is_write),
+        }
     }
 
     /// Probe without modifying state or statistics: is the line present?
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index_and_tag(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        self.locate(addr).2.is_some()
     }
 
     /// Install a line without counting it as a demand access (used for
@@ -202,42 +197,13 @@ impl Cache {
     /// line's address, if any.
     pub fn install_writeback(&mut self, addr: u64) -> Option<u64> {
         self.use_counter += 1;
-        let (set_idx, tag) = self.index_and_tag(addr);
-        let set_bits = self.set_mask.count_ones();
-        let line_shift = self.line_shift;
-        let use_counter = self.use_counter;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.dirty = true;
-            way.last_use = use_counter;
+        let (set_idx, tag, way) = self.locate(addr);
+        if let Some(way) = way {
+            self.dirty[way] = true;
+            self.stamps[way] = self.use_counter;
             return None;
         }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .find(|(_, w)| !w.valid)
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
-                    .map(|(i, _)| i)
-                    .expect("cache set has at least one way")
-            });
-        let victim = set[victim_idx];
-        let evicted = if victim.valid && victim.dirty {
-            self.stats.writebacks += 1;
-            Some(((victim.tag << set_bits) | set_idx as u64) << line_shift)
-        } else {
-            None
-        };
-        set[victim_idx] = Way {
-            valid: true,
-            dirty: true,
-            tag,
-            last_use: use_counter,
-        };
-        evicted
+        self.fill(set_idx, tag, true)
     }
 }
 

@@ -281,6 +281,16 @@ impl CpuConfig {
         self
     }
 
+    /// True if `other` builds the same cache hierarchy state from any
+    /// address stream: equal cache levels and DRAM row size. Latencies, the
+    /// clock and the core model may differ.
+    pub fn same_hierarchy(&self, other: &CpuConfig) -> bool {
+        self.l1d == other.l1d
+            && self.l2 == other.l2
+            && self.llc == other.llc
+            && self.memory.row_bytes == other.memory.row_bytes
+    }
+
     /// Validate all cache geometries.
     pub fn validate(&self) -> Result<(), String> {
         self.l1d.validate()?;
@@ -365,6 +375,19 @@ mod tests {
             CoreKind::OutOfOrder
         );
         assert!(CoreConfig::out_of_order_default().rob_size > 1);
+    }
+
+    #[test]
+    fn same_hierarchy_ignores_latency_and_core() {
+        let ino = CpuConfig::baseline_in_order();
+        let mut ooo = CpuConfig::baseline_out_of_order().with_extra_latency_ns(85.0);
+        ooo.memory.base_latency_ns = 120.0;
+        assert!(ino.same_hierarchy(&ooo));
+        ooo.memory.row_bytes = 4096;
+        assert!(!ino.same_hierarchy(&ooo));
+        let mut small_llc = ino;
+        small_llc.llc.capacity_bytes /= 2;
+        assert!(!ino.same_hierarchy(&small_llc));
     }
 
     #[test]

@@ -210,6 +210,7 @@ mod tests {
             level: HierarchyLevel::L1,
             latency_cycles: latency,
             is_llc_miss: false,
+            row_hit: false,
         }
     }
 
@@ -218,6 +219,7 @@ mod tests {
             level: HierarchyLevel::Memory,
             latency_cycles: latency,
             is_llc_miss: true,
+            row_hit: false,
         }
     }
 

@@ -35,6 +35,9 @@ pub struct AccessOutcome {
     /// True if the access left the package (LLC miss): these are the
     /// accesses the disaggregation fabric sees.
     pub is_llc_miss: bool,
+    /// True if the access reached memory and hit the open DRAM row (always
+    /// false for cache hits).
+    pub row_hit: bool,
 }
 
 /// Per-level and memory statistics for a simulation run.
@@ -113,17 +116,17 @@ impl CacheHierarchy {
         self.row_miss_latency_cycles
     }
 
-    /// Latency of a memory access to `addr`, applying the open-page model,
-    /// and update the open-row state.
-    fn memory_access_latency(&mut self, addr: u64) -> u64 {
+    /// Latency of a memory access to `addr` and whether it hit the open
+    /// row, applying the open-page model and updating the open-row state.
+    fn memory_access_latency(&mut self, addr: u64) -> (u64, bool) {
         let row = addr / self.row_bytes;
         let hit = self.open_row == Some(row);
         self.open_row = Some(row);
         if hit {
             self.memory_row_hits += 1;
-            self.row_hit_latency_cycles
+            (self.row_hit_latency_cycles, true)
         } else {
-            self.row_miss_latency_cycles
+            (self.row_miss_latency_cycles, false)
         }
     }
 
@@ -140,6 +143,7 @@ impl CacheHierarchy {
                     level: HierarchyLevel::L1,
                     latency_cycles: l1_hit_latency,
                     is_llc_miss: false,
+                    row_hit: false,
                 }
             }
             LookupResult::Miss { writeback } => {
@@ -165,6 +169,7 @@ impl CacheHierarchy {
                     level: HierarchyLevel::L2,
                     latency_cycles: l1_hit_latency + l2_hit_latency,
                     is_llc_miss: false,
+                    row_hit: false,
                 }
             }
             LookupResult::Miss { writeback } => {
@@ -183,13 +188,14 @@ impl CacheHierarchy {
                 level: HierarchyLevel::Llc,
                 latency_cycles: l1_hit_latency + l2_hit_latency + llc_hit_latency,
                 is_llc_miss: false,
+                row_hit: false,
             },
             LookupResult::Miss { writeback } => {
                 if writeback.is_some() {
                     self.memory_writebacks += 1;
                 }
                 self.memory_accesses += 1;
-                let memory_latency = self.memory_access_latency(addr);
+                let (memory_latency, row_hit) = self.memory_access_latency(addr);
                 AccessOutcome {
                     level: HierarchyLevel::Memory,
                     latency_cycles: l1_hit_latency
@@ -197,6 +203,7 @@ impl CacheHierarchy {
                         + llc_hit_latency
                         + memory_latency,
                     is_llc_miss: true,
+                    row_hit,
                 }
             }
         }
@@ -344,11 +351,11 @@ mod tests {
         let mut h = CacheHierarchy::new(&small_config(0.0));
         // Stream 32 consecutive lines (2 KiB = one DRAM row): after the first
         // row activation, subsequent misses in the same row are row hits.
-        let mut latencies = Vec::new();
-        for line in 0..32u64 {
-            latencies.push(h.access(line * 64, false).latency_cycles);
-        }
-        assert!(latencies[1] < latencies[0]);
+        let outcomes: Vec<AccessOutcome> =
+            (0..32u64).map(|line| h.access(line * 64, false)).collect();
+        assert!(outcomes[1].latency_cycles < outcomes[0].latency_cycles);
+        assert!(!outcomes[0].row_hit);
+        assert!(outcomes[1..].iter().all(|o| o.row_hit));
         let s = h.stats();
         assert_eq!(s.memory_accesses, 32);
         assert_eq!(s.memory_row_hits, 31);

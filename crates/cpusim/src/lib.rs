@@ -23,6 +23,17 @@
 //!   ROB/MLP (memory-level parallelism) model.
 //! * [`simulator`] — glue that runs a trace through a core + hierarchy and
 //!   reports cycles, miss rates, and miss-cycle accounting.
+//!   [`Simulator::run`] simulates everything from scratch at one latency
+//!   point; it is the oracle for the record/re-time path.
+//! * [`recording`] — record once, re-time many: the hierarchy's state
+//!   follows the address stream alone, so [`Simulator::record`] simulates
+//!   it once per trace and cache geometry and keeps one class byte per
+//!   access (L1 / L2 / LLC / memory row hit / row miss).
+//!   [`HierarchyRecording::retime`] turns the bytes back into outcomes
+//!   with any configuration's latencies and drives either core model, for
+//!   a result equal to [`Simulator::run`]. Latency sweeps
+//!   ([`Simulator::latency_sweep`]) and the `disagg_core` CPU experiment
+//!   run on it.
 //! * [`stats`] — slowdown and Pearson-correlation helpers used by the
 //!   figure-regeneration harness (Fig. 7 and 10 report correlations).
 //!
@@ -38,6 +49,7 @@ pub mod cache;
 pub mod config;
 pub mod core;
 pub mod hierarchy;
+pub mod recording;
 pub mod simulator;
 pub mod stats;
 pub mod trace;
@@ -46,6 +58,7 @@ pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, CoreConfig, CoreKind, CpuConfig, MemoryConfig};
 pub use core::{InOrderCore, OutOfOrderCore, TimingCore};
 pub use hierarchy::{AccessOutcome, CacheHierarchy, HierarchyLevel, HierarchyStats};
+pub use recording::HierarchyRecording;
 pub use simulator::{SimResult, Simulator};
 pub use stats::{geometric_mean, pearson_correlation, slowdown_percent};
 pub use trace::{MemAccess, MemoryTrace, TraceRecord, TraceStats};

@@ -4,6 +4,7 @@
 use crate::config::{CoreKind, CpuConfig};
 use crate::core::{InOrderCore, OutOfOrderCore, TimingCore};
 use crate::hierarchy::{CacheHierarchy, HierarchyStats};
+use crate::recording::HierarchyRecording;
 use crate::trace::MemoryTrace;
 use serde::{Deserialize, Serialize};
 
@@ -181,16 +182,23 @@ impl Simulator {
         }
     }
 
+    /// Simulate this configuration's cache hierarchy over `trace` once,
+    /// with the warm-up pass if enabled, and record every measured access's
+    /// outcome. [`HierarchyRecording::retime`] then times the recording at
+    /// any latency and core model that share this cache hierarchy.
+    pub fn record<'t>(&self, trace: &'t MemoryTrace) -> HierarchyRecording<'t> {
+        HierarchyRecording::record(&self.config, self.warmup, trace)
+    }
+
     /// Run the same trace across several extra-latency points (the paper's
-    /// 0 / 25 / 30 / 35 / 85 ns sweep) and return one result per point.
+    /// 0 / 25 / 30 / 35 / 85 ns sweep) and return one result per point. The
+    /// hierarchy is simulated once and re-timed at each point; each result
+    /// equals [`run`](Self::run) at that latency.
     pub fn latency_sweep(&self, trace: &MemoryTrace, extra_latencies_ns: &[f64]) -> Vec<SimResult> {
+        let recording = self.record(trace);
         extra_latencies_ns
             .iter()
-            .map(|&extra| {
-                Simulator::new(self.config.with_extra_latency_ns(extra))
-                    .with_warmup(self.warmup)
-                    .run(trace)
-            })
+            .map(|&extra| recording.retime(&self.config.with_extra_latency_ns(extra)))
             .collect()
     }
 }
