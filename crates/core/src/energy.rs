@@ -378,10 +378,8 @@ impl EnergyModel {
     }
 
     /// [`account_flexgrid`](EnergyModel::account_flexgrid) from the report's
-    /// bare aggregate fields. The sweep executor's reuse layer replays a
-    /// retained solve through this for each energy mode of a dedup group:
-    /// accounting is a pure function of these five aggregates, so the
-    /// replayed stats are bit-identical to re-running the solver.
+    /// bare aggregate fields: the wire term is the modulation-weighted
+    /// `wire_weighted_gbps` instead of `direct + 2 × indirect`.
     pub(crate) fn account_flexgrid_parts(
         &self,
         epochs: usize,
@@ -390,38 +388,13 @@ impl EnergyModel {
         carried_indirect_gbps: f64,
         wire_weighted_gbps: f64,
     ) -> EnergyStats {
-        let duration = epochs as f64 * self.config.epoch_duration_s;
-        let direct_bits = carried_direct_gbps * 1e9 * self.config.epoch_duration_s;
-        let indirect_bits = carried_indirect_gbps * 1e9 * self.config.epoch_duration_s;
-        let wire_payload_bits = wire_weighted_gbps * 1e9 * self.config.epoch_duration_s;
-        let wire_total_bits = wire_payload_bits / (1.0 - self.fec_overhead);
-        let ppm = self.photonic_power_model();
-
-        let (transceiver_j, fec_j) = match self.mode {
-            EnergyMode::AlwaysOn => (ppm.transceiver_power_w() * duration, 0.0),
-            EnergyMode::UtilizationScaled => {
-                let capacity_bits = ppm.rack_escape_bandwidth().bps() * duration;
-                let scaled = ppm.utilization_scaled(wire_total_bits / capacity_bits);
-                let wire_energy = scaled.transceiver_power_w() * duration;
-                if wire_total_bits > 0.0 {
-                    let fec_share = (wire_total_bits - wire_payload_bits) / wire_total_bits;
-                    (wire_energy * (1.0 - fec_share), wire_energy * fec_share)
-                } else {
-                    (0.0, 0.0)
-                }
-            }
-        };
-
-        EnergyStats {
-            mode: self.mode,
-            duration_s: duration,
-            payload_gigabits: (direct_bits + indirect_bits) / 1e9,
-            transceiver_energy_j: transceiver_j,
-            fec_energy_j: fec_j,
-            reconfiguration_energy_j: defrag_events as f64 * self.config.reconfiguration_energy_j,
-            idle_energy_j: ppm.switch_power_w * duration,
-            compute_power_w: self.config.compute_power_per_mcm_w * self.mcm_count as f64,
-        }
+        self.account_bits(
+            epochs,
+            defrag_events,
+            self.epoch_bits(carried_direct_gbps),
+            self.epoch_bits(carried_indirect_gbps),
+            self.epoch_bits(wire_weighted_gbps),
+        )
     }
 
     /// Core accounting over per-epoch Gbps sums. `direct_gbps` /
@@ -429,11 +402,11 @@ impl EnergyModel {
     /// [`EnergyConfig::epoch_duration_s`]), so Gbps × 1e9 × epoch duration
     /// converts straight to bits.
     ///
-    /// Crate-visible for the sweep executor's reuse layer: replaying a
-    /// retained flow/timeline solve under a different [`EnergyMode`] or FEC
-    /// setting goes through exactly this function, which is a pure function
-    /// of its arguments — so replayed energy stats are bit-identical to
-    /// re-running the solver under that mode.
+    /// Crate-visible for the sweep executor, which accounts every scenario
+    /// from its solve's aggregate digest through this and
+    /// [`account_flexgrid_parts`](EnergyModel::account_flexgrid_parts):
+    /// both are pure functions of their arguments, so a replayed energy
+    /// mode or FEC setting is bit-identical to re-running the solver.
     pub(crate) fn account(
         &self,
         epochs: usize,
@@ -441,12 +414,36 @@ impl EnergyModel {
         direct_gbps: f64,
         indirect_gbps: f64,
     ) -> EnergyStats {
-        let duration = epochs as f64 * self.config.epoch_duration_s;
-        let direct_bits = direct_gbps * 1e9 * self.config.epoch_duration_s;
-        let indirect_bits = indirect_gbps * 1e9 * self.config.epoch_duration_s;
+        let direct_bits = self.epoch_bits(direct_gbps);
+        let indirect_bits = self.epoch_bits(indirect_gbps);
         // Each indirect bit traverses two links and pays the transceiver
         // energy twice.
         let wire_payload_bits = direct_bits + 2.0 * indirect_bits;
+        self.account_bits(
+            epochs,
+            reconfigurations,
+            direct_bits,
+            indirect_bits,
+            wire_payload_bits,
+        )
+    }
+
+    /// Bits carried by a Gbps sum over epochs of the configured duration.
+    fn epoch_bits(&self, gbps: f64) -> f64 {
+        gbps * 1e9 * self.config.epoch_duration_s
+    }
+
+    /// The one accounting body: payload bits (direct + indirect) for the
+    /// per-bit figures, and the wire payload bits the transceivers carry.
+    fn account_bits(
+        &self,
+        epochs: usize,
+        reconfigurations: usize,
+        direct_bits: f64,
+        indirect_bits: f64,
+        wire_payload_bits: f64,
+    ) -> EnergyStats {
+        let duration = epochs as f64 * self.config.epoch_duration_s;
         let wire_total_bits = wire_payload_bits / (1.0 - self.fec_overhead);
         let ppm = self.photonic_power_model();
 

@@ -3,11 +3,14 @@
 //! A [`JobSpec`] wraps a [`SweepGrid`] with execution knobs (per-job thread
 //! budget, shard size) and parses from the JSON job files `sweepd` accepts.
 //! A [`JobRunner`] executes a spec *through an on-disk shard cache*: the
-//! grid's scenario range is cut into fixed-size shards, each shard is
-//! executed at most once ever — its [`SweepReport`] JSON is written to
-//! `cache_dir/<grid_hash>/shard<k>.json` the moment it completes — and a
-//! rerun of the same grid (after a crash, or a resubmission) replays every
-//! cached shard from disk and executes only what is missing.
+//! job's execution plan — the identity plan over the grid, or the cluster
+//! plan of a sampled job (see [`ClusterPlan`]) — is cut into fixed-size
+//! shards, each shard is executed at most once ever — its [`SweepReport`]
+//! JSON is written to `cache_dir/<grid_hash>/shard<k>.json` the moment it
+//! completes — and a rerun of the same grid (after a crash, or a
+//! resubmission) replays every cached shard from disk and executes only
+//! what is missing. Exact and sampled jobs share one run loop, one merge,
+//! and the shard executor that [`SweepGrid::run_sharded`] also uses.
 //!
 //! Three properties make the cache sound:
 //!
@@ -21,9 +24,10 @@
 //!   grid, or with shards sampled under different knobs.
 //! * **Bit-exact replay.** Shard JSON round-trips every float exactly
 //!   (shortest-round-trip formatting, raw-text parsing), and the merged
-//!   summary is re-folded from shard rows with the identical operation
-//!   sequence the live aggregator uses — so a merged report is
-//!   byte-identical to an uninterrupted [`SweepGrid::run`], whether its
+//!   summary is re-folded from shard rows, with weights from the
+//!   deterministically rebuilt plan, by the same weighted fold a live run
+//!   uses — so a merged report is byte-identical to an uninterrupted
+//!   [`SweepGrid::run`] (or [`SweepGrid::run_sampled`]), whether its
 //!   shards came from execution, from disk, or a mix.
 //! * **Atomic checkpoints.** Shards are written to a temp file and
 //!   renamed, so a crash mid-write leaves no torn shard — at worst the
@@ -34,9 +38,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{self, DecodeError};
-use crate::report::{ReuseStats, SweepReport};
-use crate::sample::{push_weighted_row, ClusterPlan, SampleAggregator, SampleConfig};
-use crate::sweep::exec::{execute_batch, push_row, FabricCache, ReuseAccum, StreamAggregator};
+use crate::report::SweepReport;
+use crate::sample::{ClusterPlan, SampleConfig};
+use crate::sweep::exec::{merge_shards, FabricCache, ReuseAccum};
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// A sweep job: a grid plus the execution knobs of the `sweepd` job-file
@@ -211,12 +215,9 @@ pub struct JobOutcome {
     pub scenarios_executed: usize,
     /// True when the run stopped early (fresh-shard limit reached): the
     /// report covers only the shards processed so far, and a rerun will
-    /// resume from the first missing shard.
+    /// resume from the first missing shard. Its summary folds exactly the
+    /// rows (and, for sampled jobs, the weights) those shards hold.
     pub suspended: bool,
-    /// Computation-reuse counters accumulated across the shards *executed
-    /// fresh this run* (cached shards did no solving). `None` when the spec
-    /// disabled reuse; all-zero on a full cache hit.
-    pub reuse: Option<ReuseStats>,
 }
 
 /// A job-execution failure: cache I/O or a corrupt input, with context.
@@ -289,32 +290,31 @@ impl JobRunner {
         }
     }
 
+    /// The one run loop. The job's plan — the identity plan, or the
+    /// cluster plan of a sampled job — is cut into `rows_per_shard`
+    /// shards; each is replayed from disk when cached and executed (then
+    /// checkpointed) otherwise, and the merge re-folds the summary over
+    /// the same plan. A degenerate sampled plan is the identity plan, still
+    /// under the sampled cache key, so exact jobs never see its shards.
     fn run_inner(
         &self,
         spec: &JobSpec,
         max_fresh_shards: Option<usize>,
     ) -> Result<JobOutcome, JobError> {
-        // Sampled jobs shard the representative list instead of the grid,
-        // under the composite cache key. A degenerate plan (cluster budget
-        // covers the grid) falls through to the exact pipeline below —
-        // still under the sampled cache key, so exact jobs never see its
-        // shards — and the merged report matches `run_sampled`'s exact
-        // delegation byte for byte.
-        let plan = spec
-            .sample
-            .as_ref()
-            .map(|sample| ClusterPlan::build(&spec.grid, sample));
-        if let (Some(sample), Some(plan)) = (&spec.sample, &plan) {
-            if !plan.exact {
-                return self.run_sampled_inner(spec, sample, plan, max_fresh_shards);
-            }
-        }
         let grid = &spec.grid;
+        let plan = match &spec.sample {
+            Some(sample) => ClusterPlan::build(grid, sample),
+            None => ClusterPlan::exact(grid.scenario_count()),
+        };
+        let config = StreamConfig {
+            batch_size: spec.batch_size,
+            row_cap: None,
+            reuse: spec.reuse,
+        };
         let grid_hash = spec.cache_key();
         let grid_dir = self.cache_dir.join(&grid_hash);
         let per_shard = spec.rows_per_shard.max(1);
-        let scenario_count = grid.scenario_count();
-        let shards_total = scenario_count.div_ceil(per_shard);
+        let shards_total = plan.evaluated().div_ceil(per_shard);
 
         let mut shards: Vec<SweepReport> = Vec::with_capacity(shards_total);
         let mut shards_from_cache = 0usize;
@@ -329,7 +329,7 @@ impl JobRunner {
 
         for k in 0..shards_total {
             let start = k * per_shard;
-            let end = scenario_count.min(start + per_shard);
+            let end = plan.evaluated().min(start + per_shard);
             let path = grid_dir.join(format!("shard{k}.json"));
             if let Some(cached) = load_cached_shard(&path, end - start) {
                 shards.push(cached);
@@ -340,23 +340,19 @@ impl JobRunner {
                 suspended = true;
                 break;
             }
-            let cache = match &fabric_cache {
-                Some(cache) => cache,
-                None => fabric_cache.insert(FabricCache::from_grid(grid, true)),
-            };
-            let shard = execute_shard(grid, spec, cache, k, start, end, &mut accum);
+            let cache = fabric_cache.get_or_insert_with(|| FabricCache::from_grid(grid));
+            let shard = grid.execute_shard(&plan, cache, &config, k, start..end, &mut accum);
             write_shard(&grid_dir, &path, &shard)?;
             scenarios_executed += shard.rows.len();
             shards_executed += 1;
             shards.push(shard);
         }
 
-        let mut report = merge_shards(grid, &shards)?;
-        if let (Some(sample), Some(plan)) = (&spec.sample, &plan) {
+        let mut report = merge_shards(grid, &plan, &shards).map_err(|e| format!("jobs: {e}"))?;
+        if let Some(sample) = &spec.sample {
             report.sampling = Some(plan.stats(sample, &report.summary));
         }
-        let reuse = spec.reuse.then(|| accum.stats());
-        report.reuse = reuse;
+        report.reuse = spec.reuse.then(|| accum.stats());
         Ok(JobOutcome {
             report,
             grid_hash,
@@ -365,77 +361,6 @@ impl JobRunner {
             shards_executed,
             scenarios_executed,
             suspended,
-            reuse,
-        })
-    }
-
-    /// The sampled twin of the exact pipeline in `run_inner`: the cluster
-    /// plan's representative list is cut into `rows_per_shard` shards, each
-    /// executed at most once ever and checkpointed under the composite
-    /// cache key, and the merged report re-folds the weighted summary with
-    /// [`SampleAggregator`] — byte-identical to an uninterrupted
-    /// [`SweepGrid::run_sampled`], whether shards came from execution,
-    /// from disk, or a mix.
-    fn run_sampled_inner(
-        &self,
-        spec: &JobSpec,
-        sample: &SampleConfig,
-        plan: &ClusterPlan,
-        max_fresh_shards: Option<usize>,
-    ) -> Result<JobOutcome, JobError> {
-        let grid = &spec.grid;
-        let grid_hash = spec.cache_key();
-        let grid_dir = self.cache_dir.join(&grid_hash);
-        let per_shard = spec.rows_per_shard.max(1);
-        let rep_count = plan.representatives.len();
-        let shards_total = rep_count.div_ceil(per_shard);
-
-        let mut shards: Vec<SweepReport> = Vec::with_capacity(shards_total);
-        let mut shards_from_cache = 0usize;
-        let mut shards_executed = 0usize;
-        let mut scenarios_executed = 0usize;
-        let mut suspended = false;
-        let mut fabric_cache: Option<FabricCache> = None;
-        let mut accum = ReuseAccum::new();
-
-        for k in 0..shards_total {
-            let start = k * per_shard;
-            let end = rep_count.min(start + per_shard);
-            let path = grid_dir.join(format!("shard{k}.json"));
-            if let Some(cached) = load_cached_shard(&path, end - start) {
-                shards.push(cached);
-                shards_from_cache += 1;
-                continue;
-            }
-            if max_fresh_shards.is_some_and(|max| shards_executed >= max) {
-                suspended = true;
-                break;
-            }
-            let cache = match &fabric_cache {
-                Some(cache) => cache,
-                // The *full* grid's fabric set, as in `run_sampled`, so the
-                // merged `fabrics_built` matches the oracle's.
-                None => fabric_cache.insert(FabricCache::from_grid(grid, true)),
-            };
-            let shard = execute_sampled_shard(spec, cache, plan, k, start, end, &mut accum);
-            write_shard(&grid_dir, &path, &shard)?;
-            scenarios_executed += shard.rows.len();
-            shards_executed += 1;
-            shards.push(shard);
-        }
-
-        let mut report = merge_sampled_shards(grid, sample, plan, &shards)?;
-        let reuse = spec.reuse.then(|| accum.stats());
-        report.reuse = reuse;
-        Ok(JobOutcome {
-            report,
-            grid_hash,
-            shards_total,
-            shards_from_cache,
-            shards_executed,
-            scenarios_executed,
-            suspended,
-            reuse,
         })
     }
 }
@@ -448,141 +373,6 @@ fn load_cached_shard(path: &Path, expected_rows: usize) -> Option<SweepReport> {
     let text = fs::read_to_string(path).ok()?;
     let report = SweepReport::from_json(&text).ok()?;
     (report.rows.len() == expected_rows).then_some(report)
-}
-
-/// Execute scenario range `[start, end)` as shard `k` on the thread pool.
-fn execute_shard(
-    grid: &SweepGrid,
-    spec: &JobSpec,
-    cache: &FabricCache,
-    k: usize,
-    start: usize,
-    end: usize,
-    accum: &mut ReuseAccum,
-) -> SweepReport {
-    let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
-    let scenarios = grid.scenarios();
-    let mut batch = Vec::with_capacity(spec.batch_size.min(end - start));
-    let mut next = start;
-    while next < end {
-        batch.clear();
-        batch.extend(
-            (next..end.min(next + spec.batch_size))
-                .map(|i| scenarios.get(i).expect("scenario index within grid bounds")),
-        );
-        next += batch.len();
-        let results = execute_batch(
-            &batch,
-            cache,
-            grid.indirect_hop_latency_ns,
-            &grid.energy_config,
-            spec.reuse,
-            None,
-            accum,
-        );
-        for result in results {
-            push_row(&mut shard, result);
-        }
-    }
-    shard
-}
-
-/// Execute representative range `[start, end)` of a cluster plan as shard
-/// `k`: each representative's scenario runs once, and its row carries the
-/// cluster weight (see `push_weighted_row`) so the shard is
-/// self-describing on disk.
-fn execute_sampled_shard(
-    spec: &JobSpec,
-    cache: &FabricCache,
-    plan: &ClusterPlan,
-    k: usize,
-    start: usize,
-    end: usize,
-    accum: &mut ReuseAccum,
-) -> SweepReport {
-    let grid = &spec.grid;
-    let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
-    let scenarios = grid.scenarios();
-    let mut batch = Vec::with_capacity(spec.batch_size.min(end - start));
-    let mut next = start;
-    while next < end {
-        batch.clear();
-        batch.extend((next..end.min(next + spec.batch_size)).map(|r| {
-            scenarios
-                .get(plan.representatives[r].index)
-                .expect("representative index within grid bounds")
-        }));
-        let results = execute_batch(
-            &batch,
-            cache,
-            grid.indirect_hop_latency_ns,
-            &grid.energy_config,
-            spec.reuse,
-            None,
-            accum,
-        );
-        for (offset, result) in results.into_iter().enumerate() {
-            push_weighted_row(
-                &mut shard,
-                result,
-                plan.representatives[next + offset].weight,
-            );
-        }
-        next += batch.len();
-    }
-    shard
-}
-
-/// Merge sampled shards (in shard order) into the reconstructed full-grid
-/// report, re-folding the weighted summary from the shard rows — weights
-/// come from the (deterministically recomputed) cluster plan, row metrics
-/// round-trip bit-exactly through the shard JSON, so the fold is the exact
-/// operation sequence `run_sampled` used.
-fn merge_sampled_shards(
-    grid: &SweepGrid,
-    sample: &SampleConfig,
-    plan: &ClusterPlan,
-    shards: &[SweepReport],
-) -> Result<SweepReport, JobError> {
-    let mut merged = SweepReport::new(grid.name.clone());
-    let mut aggregator = SampleAggregator::new(plan.total);
-    let mut rep_next = 0usize;
-    for shard in shards {
-        let mut energy_next = 0usize;
-        for row in &shard.rows {
-            let energy = match shard.energy.get(energy_next) {
-                Some((label, stats)) if *label == row.label => {
-                    energy_next += 1;
-                    Some(stats)
-                }
-                _ => None,
-            };
-            let satisfaction = row.metric("satisfaction").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks satisfaction",
-                    shard.name, row.label
-                )
-            })?;
-            let mean_latency_ns = row.metric("mean_latency_ns").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks mean_latency_ns",
-                    shard.name, row.label
-                )
-            })?;
-            let weight = plan
-                .representatives
-                .get(rep_next)
-                .map(|r| r.weight)
-                .ok_or_else(|| format!("jobs: shard {} has more rows than the plan", shard.name))?;
-            rep_next += 1;
-            aggregator.absorb_parts(weight, satisfaction, mean_latency_ns, energy);
-        }
-        merged.rows.extend(shard.rows.iter().cloned());
-        merged.energy.extend(shard.energy.iter().cloned());
-    }
-    aggregator.finish(&mut merged, grid.distinct_fabric_count());
-    merged.sampling = Some(plan.stats(sample, &merged.summary));
-    Ok(merged)
 }
 
 /// Checkpoint a completed shard atomically: write to a temp file in the
@@ -598,45 +388,6 @@ fn write_shard(grid_dir: &Path, path: &Path, shard: &SweepReport) -> Result<(), 
         .map_err(|e| format!("jobs: write {}: {e}", tmp.display()))?;
     drop(file);
     fs::rename(&tmp, path).map_err(|e| format!("jobs: rename to {}: {e}", path.display()))
-}
-
-/// Merge shard reports (in shard order) into the full-grid report,
-/// re-folding the summary from the shard rows with the live aggregator's
-/// exact operation sequence.
-fn merge_shards(grid: &SweepGrid, shards: &[SweepReport]) -> Result<SweepReport, JobError> {
-    let mut merged = SweepReport::new(grid.name.clone());
-    let mut aggregator = StreamAggregator::new();
-    for shard in shards {
-        // Energy entries are a label-aligned subsequence of the rows;
-        // walking a forward pointer recovers each row's entry (if any).
-        let mut energy_next = 0usize;
-        for row in &shard.rows {
-            let energy = match shard.energy.get(energy_next) {
-                Some((label, stats)) if *label == row.label => {
-                    energy_next += 1;
-                    Some(stats)
-                }
-                _ => None,
-            };
-            let satisfaction = row.metric("satisfaction").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks satisfaction",
-                    shard.name, row.label
-                )
-            })?;
-            let mean_latency_ns = row.metric("mean_latency_ns").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks mean_latency_ns",
-                    shard.name, row.label
-                )
-            })?;
-            aggregator.absorb_parts(satisfaction, mean_latency_ns, energy);
-        }
-        merged.rows.extend(shard.rows.iter().cloned());
-        merged.energy.extend(shard.energy.iter().cloned());
-    }
-    aggregator.finish(&mut merged, grid.distinct_fabric_count());
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -810,6 +561,56 @@ mod tests {
         assert_eq!(outcome.grid_hash, spec.cache_key());
         assert_eq!(outcome.report.to_json(), spec.grid.run().to_json());
         assert!(outcome.report.sampling.as_ref().unwrap().exact);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn suspended_sampled_job_summarizes_the_rows_it_holds() {
+        let dir = temp_dir("sampled-partial");
+        let mut spec = job();
+        spec.sample = Some(SampleConfig::with_clusters(4));
+        spec.rows_per_shard = 1;
+        let partial = JobRunner::new(&dir)
+            .run_with_limit(&spec, Some(1))
+            .expect("partial sampled run");
+        assert!(partial.suspended);
+        let report = &partial.report;
+        assert!(!report.rows.is_empty());
+        let mut weight = 0usize;
+        let mut satisfaction_sum = 0.0;
+        for row in &report.rows {
+            let (_, w) = row
+                .params
+                .iter()
+                .find(|(key, _)| key == "cluster_weight")
+                .expect("sampled rows carry their weight");
+            let w: usize = w.parse().unwrap();
+            weight += w;
+            satisfaction_sum += w as f64 * row.metric("satisfaction").unwrap();
+        }
+        assert_eq!(report.summary_metric("scenarios"), Some(weight as f64));
+        assert_eq!(
+            report.summary_metric("mean_satisfaction"),
+            Some(satisfaction_sum / weight as f64)
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zero_batch_size_finishes_with_unchanged_bytes() {
+        let dir = temp_dir("batch0");
+        let mut spec = job();
+        spec.batch_size = 0;
+        let runner = JobRunner::new(&dir);
+        let exact = runner.run(&spec).expect("exact job with batch_size 0");
+        assert_eq!(exact.report.to_json(), spec.grid.run().to_json());
+        let sample = SampleConfig::with_clusters(4);
+        spec.sample = Some(sample.clone());
+        let sampled = runner.run(&spec).expect("sampled job with batch_size 0");
+        assert_eq!(
+            sampled.report.to_json(),
+            spec.grid.run_sampled(&sample).to_json()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

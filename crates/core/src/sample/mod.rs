@@ -12,15 +12,24 @@
 //! reconstruct the full-grid summary as the weight-averaged estimate, with
 //! declared per-metric error bounds carried in a [`SamplingStats`] block.
 //!
+//! A [`ClusterPlan`] is also the execution plan of *every* run: a list of
+//! `(grid index, weight)` positions (`ClusterPlan::entry`). Plain runs
+//! execute the identity form `ClusterPlan::exact` (every index once,
+//! weight 1); sampled runs execute one position per representative,
+//! weighted by its cluster population. Both go through the same driver,
+//! row writer and weighted summary fold in `sweep::exec`, and the fold
+//! divides by the weight it absorbed — `1.0 * x == x` in f64, so the
+//! identity plan reproduces the unweighted fold bit for bit.
+//!
 //! The contract, pinned by `tests/sampling_accuracy.rs` against the
 //! exhaustive oracle [`SweepGrid::run`]:
 //!
 //! * **Exact degeneration.** When the cluster budget covers the grid
 //!   (`clusters >= scenario_count`, or fewer than
 //!   [`SampleConfig::min_replicate_collapse`] scenarios per cluster), the
-//!   sampler delegates to [`SweepGrid::run`] — output byte-identical to
-//!   the oracle, with `SamplingStats { exact: true, .. }` attached as
-//!   JSON-excluded metadata.
+//!   plan is the identity plan [`SweepGrid::run`] executes — output
+//!   byte-identical to the oracle, with `SamplingStats { exact: true, .. }`
+//!   attached as JSON-excluded metadata.
 //! * **Determinism.** The cluster plan is a pure function of the grid and
 //!   config: scenarios are clustered in a canonical order (sorted by
 //!   normalized feature vector, then seed, then replicate), so the plan —
@@ -34,18 +43,14 @@
 mod feature;
 mod kmeans;
 
-use std::time::Instant;
-
 use fabric::FabricKind;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use workloads::TrafficPattern;
 
 use crate::codec::{self, DecodeError};
-use crate::energy::EnergyStats;
-use crate::report::{SamplingStats, SweepReport, SweepRow, ThroughputStats};
-use crate::sweep::exec::{execute_batch, FabricCache, ReuseAccum};
-use crate::sweep::{Scenario, ScenarioResult, SweepGrid};
+use crate::report::{SamplingStats, SweepReport};
+use crate::sweep::{StreamConfig, SweepGrid};
 
 /// Knobs of the representative-scenario sampler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -162,6 +167,42 @@ pub struct ClusterPlan {
 }
 
 impl ClusterPlan {
+    /// The identity plan over `total` scenarios: every grid index once,
+    /// with weight 1. Plain runs execute this plan, and [`build`] returns
+    /// it when the cluster budget covers the grid.
+    ///
+    /// [`build`]: ClusterPlan::build
+    pub(crate) fn exact(total: usize) -> ClusterPlan {
+        ClusterPlan {
+            total,
+            exact: true,
+            representatives: Vec::new(),
+            assignments: Vec::new(),
+            mean_dispersion: 0.0,
+        }
+    }
+
+    /// Plan positions, i.e. scenarios the plan simulates: the whole grid
+    /// for the exact form, one per representative otherwise.
+    pub(crate) fn evaluated(&self) -> usize {
+        if self.exact {
+            self.total
+        } else {
+            self.representatives.len()
+        }
+    }
+
+    /// The `(grid index, weight)` at plan position `pos`. The exact form
+    /// answers `(pos, 1)` without materializing an entry per scenario.
+    pub(crate) fn entry(&self, pos: usize) -> (usize, usize) {
+        if self.exact {
+            (pos, 1)
+        } else {
+            let rep = self.representatives[pos];
+            (rep.index, rep.weight)
+        }
+    }
+
     /// Cluster a grid. Pure function of `(grid, config)`: independent of
     /// thread count, and invariant under axis-declaration reordering
     /// (scenarios are canonically ordered by feature vector before
@@ -171,13 +212,7 @@ impl ClusterPlan {
         let n = grid.scenario_count();
         let k = config.clusters.max(1);
         if n == 0 || k >= n || n < k.saturating_mul(config.min_replicate_collapse.max(1)) {
-            return ClusterPlan {
-                total: n,
-                exact: true,
-                representatives: Vec::new(),
-                assignments: Vec::new(),
-                mean_dispersion: 0.0,
-            };
+            return ClusterPlan::exact(n);
         }
 
         let mut memo = feature::SignatureMemo::new();
@@ -293,107 +328,12 @@ impl ClusterPlan {
         SamplingStats {
             exact: self.exact,
             clusters: config.clusters,
-            evaluated: if self.exact {
-                self.total
-            } else {
-                self.representatives.len()
-            },
+            evaluated: self.evaluated(),
             total: self.total,
             mean_dispersion: d,
             error_bounds,
         }
     }
-}
-
-/// Weighted reconstruction of the exhaustive summary from representative
-/// results: each representative contributes with its cluster weight, and
-/// the denominators are the *full* grid population — so the emitted
-/// summary block has exactly the exhaustive schema (same keys, same
-/// order), estimating what [`SweepGrid::run`] would report.
-///
-/// Shared by [`SweepGrid::run_sampled`] and the jobs layer's sampled-shard
-/// merge, which re-folds from JSON-round-tripped shard rows — identical
-/// operation sequence, so a resumed sampled job's merged report is
-/// byte-identical to an uninterrupted `run_sampled`.
-pub(crate) struct SampleAggregator {
-    total: usize,
-    satisfaction_sum: f64,
-    satisfaction_min: f64,
-    latency_sum: f64,
-    energy_weight: usize,
-    energy_total_j: f64,
-    energy_watts_sum: f64,
-}
-
-impl SampleAggregator {
-    pub(crate) fn new(total: usize) -> Self {
-        SampleAggregator {
-            total,
-            satisfaction_sum: 0.0,
-            satisfaction_min: f64::MAX,
-            latency_sum: 0.0,
-            energy_weight: 0,
-            energy_total_j: 0.0,
-            energy_watts_sum: 0.0,
-        }
-    }
-
-    pub(crate) fn absorb_parts(
-        &mut self,
-        weight: usize,
-        satisfaction: f64,
-        mean_latency_ns: f64,
-        energy: Option<&EnergyStats>,
-    ) {
-        let w = weight as f64;
-        self.satisfaction_sum += w * satisfaction;
-        self.satisfaction_min = self.satisfaction_min.min(satisfaction);
-        self.latency_sum += w * mean_latency_ns;
-        if let Some(energy) = energy {
-            self.energy_weight += weight;
-            self.energy_total_j += w * energy.total_joules();
-            self.energy_watts_sum += w * energy.watts();
-        }
-    }
-
-    pub(crate) fn finish(self, report: &mut SweepReport, fabrics_built: usize) {
-        let n = self.total;
-        if n == 0 {
-            return;
-        }
-        report.summary = vec![
-            ("scenarios".to_string(), n as f64),
-            ("fabrics_built".to_string(), fabrics_built as f64),
-            (
-                "mean_satisfaction".to_string(),
-                self.satisfaction_sum / n as f64,
-            ),
-            ("min_satisfaction".to_string(), self.satisfaction_min),
-            ("mean_latency_ns".to_string(), self.latency_sum / n as f64),
-        ];
-        if self.energy_weight > 0 {
-            report
-                .summary
-                .push(("total_energy_j".to_string(), self.energy_total_j));
-            report.summary.push((
-                "mean_power_w".to_string(),
-                self.energy_watts_sum / self.energy_weight as f64,
-            ));
-        }
-    }
-}
-
-/// Append one representative's row to a reconstructed report, tagging it
-/// with its cluster weight (an extra `cluster_weight` parameter after the
-/// scenario's own, so sampled rows are self-describing in the JSON).
-pub(crate) fn push_weighted_row(report: &mut SweepReport, result: ScenarioResult, weight: usize) {
-    let mut row: SweepRow = result.to_row();
-    row.params
-        .push(("cluster_weight".to_string(), weight.to_string()));
-    if let Some(energy) = result.energy {
-        report.energy.push((row.label.clone(), energy));
-    }
-    report.rows.push(row);
 }
 
 impl SweepGrid {
@@ -419,60 +359,8 @@ impl SweepGrid {
     /// ```
     pub fn run_sampled(&self, config: &SampleConfig) -> SweepReport {
         let plan = ClusterPlan::build(self, config);
-        if plan.exact {
-            let mut report = self.run();
-            report.sampling = Some(plan.stats(config, &report.summary));
-            return report;
-        }
-        let started = Instant::now();
-        // Build the full grid's fabric set (not just the representatives'),
-        // so `fabrics_built` — an exact metric — matches the oracle.
-        let cache = FabricCache::from_grid(self, true);
-        let scenarios = self.scenarios();
-        let reps: Vec<Scenario> = plan
-            .representatives
-            .iter()
-            .map(|r| {
-                scenarios
-                    .get(r.index)
-                    .expect("representative index within grid bounds")
-            })
-            .collect();
-        // Representatives come from distinct clusters, so dedup rarely
-        // fires here — but the demand-matrix memo still pays off when
-        // representatives share a traffic signature, and reuse is
-        // byte-exact, so it stays on unconditionally.
-        let mut accum = ReuseAccum::new();
-        let results = execute_batch(
-            &reps,
-            &cache,
-            self.indirect_hop_latency_ns,
-            &self.energy_config,
-            true,
-            None,
-            &mut accum,
-        );
-        let wall_s = started.elapsed().as_secs_f64();
-        let mut report = SweepReport::new(self.name.clone());
-        let mut aggregator = SampleAggregator::new(plan.total);
-        for (rep, result) in plan.representatives.iter().zip(results) {
-            aggregator.absorb_parts(
-                rep.weight,
-                result.satisfaction,
-                result.mean_latency_ns,
-                result.energy.as_ref(),
-            );
-            push_weighted_row(&mut report, result, rep.weight);
-        }
-        let evaluated = report.rows.len();
-        aggregator.finish(&mut report, cache.len());
+        let mut report = self.run_plan(&plan, &StreamConfig::default());
         report.sampling = Some(plan.stats(config, &report.summary));
-        report.throughput = Some(ThroughputStats {
-            scenarios: evaluated,
-            wall_s,
-            threads: rayon::current_num_threads(),
-        });
-        report.reuse = Some(accum.stats());
         report
     }
 }

@@ -1,20 +1,33 @@
 //! The execution layer: the order-preserving [`parallel_map`] primitive,
 //! thread-count plumbing, the `Arc`-shared fabric memoization cache, and
-//! the batched streaming runner behind [`SweepGrid::run`],
-//! [`SweepGrid::run_streaming`], and [`SweepGrid::run_sharded`].
+//! the one plan driver behind [`SweepGrid::run`],
+//! [`SweepGrid::run_streaming`], [`SweepGrid::run_sharded`],
+//! [`SweepGrid::run_sampled`] and the `jobs` layer.
 //!
-//! Execution is *streaming by construction*: scenarios are decoded from
-//! the lazy [`ScenarioIter`](crate::sweep::ScenarioIter) one batch at a
-//! time, each batch fans out across the thread pool, and summary metrics
-//! (and energy totals) fold into a running aggregator in scenario order.
-//! `run` is simply the streaming path with every row retained, so the
-//! byte-identical golden fixtures exercise the same machinery a
-//! million-scenario grid uses with a row cap.
+//! Every run executes a [`ClusterPlan`]: a list of `(grid index, weight)`
+//! positions. Plain runs use the identity plan `ClusterPlan::exact`
+//! (weight 1, answered without materializing an entry per scenario);
+//! sampled runs use one position per cluster representative. One driver
+//! decodes plan positions from the lazy
+//! [`ScenarioIter`](crate::sweep::ScenarioIter) one batch at a time, fans
+//! each batch out across the thread pool, and visits every result with
+//! its weight in plan order. One weighted fold turns the visited results
+//! (or, when merging shards, their JSON-round-tripped rows) into the
+//! summary block, dividing by the weight it absorbed; because
+//! `1.0 * x == x` in f64, the identity plan gives exactly the bytes of an
+//! unweighted fold. One row writer emits rows, tagging them with
+//! `cluster_weight` only for sampled plans, and one shard executor and
+//! one shard merge serve both [`SweepGrid::run_sharded`] and the
+//! checkpointed jobs. `run` is simply the streaming path with every row
+//! retained, so the byte-identical golden fixtures exercise the same
+//! machinery a million-scenario grid uses with a row cap.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use fabric::{
     FabricKind, FlexGridArena, FlexGridConfig, FlexGridSimulator, Flow, FlowArena, FlowSimConfig,
@@ -23,8 +36,9 @@ use fabric::{
 use rayon::prelude::*;
 use workloads::TrafficPattern;
 
-use crate::energy::{EnergyConfig, EnergyModel};
+use crate::energy::{EnergyConfig, EnergyModel, EnergyStats};
 use crate::report::{ReuseStats, SweepReport, SweepRow, ThroughputStats};
+use crate::sample::ClusterPlan;
 use crate::sweep::grid::SweepGrid;
 use crate::sweep::scenario::{FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult};
 
@@ -93,7 +107,7 @@ type MemoKey = (String, u32, u64);
 /// memo, built once per pool worker and threaded through every scenario
 /// that worker executes. Purely scratch — see
 /// [`FlowArena`]/[`TimelineArena`]; reuse never changes results.
-pub(crate) struct WorkerScratch {
+struct WorkerScratch {
     flow: FlowArena,
     timeline: TimelineArena,
     flexgrid: FlexGridArena,
@@ -110,7 +124,7 @@ pub(crate) struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         WorkerScratch {
             flow: FlowArena::new(),
             timeline: TimelineArena::new(),
@@ -245,16 +259,11 @@ impl StreamConfig {
 
 impl SweepGrid {
     /// Execute the grid in parallel on the vendored thread pool and collect
-    /// a [`SweepReport`]. Results are byte-identical to
-    /// [`SweepGrid::run_serial`] at any thread count.
+    /// a [`SweepReport`]. Results are byte-identical at any thread count,
+    /// including `rayon::with_max_threads(1, || grid.run())`, which runs
+    /// every batch as a plain loop on the caller's thread.
     pub fn run(&self) -> SweepReport {
-        self.run_with(true, &StreamConfig::default())
-    }
-
-    /// Execute the grid one scenario at a time (reference implementation for
-    /// the parallel-equivalence contract).
-    pub fn run_serial(&self) -> SweepReport {
-        self.run_with(false, &StreamConfig::default())
+        self.run_streaming(&StreamConfig::default())
     }
 
     /// Execute the grid through the streaming path with explicit knobs:
@@ -273,87 +282,97 @@ impl SweepGrid {
     /// assert_eq!(capped.summary, grid.run().summary);
     /// ```
     pub fn run_streaming(&self, config: &StreamConfig) -> SweepReport {
-        self.run_with(true, config)
+        self.run_plan(&ClusterPlan::exact(self.scenario_count()), config)
     }
 
     /// Execute the grid, emitting rows in shards of `rows_per_shard`
     /// through `emit` (each shard a self-contained [`SweepReport`] named
     /// `{name}.shard{k}`), and return a summary-only master report. This is
     /// the JSON-output path for grids too large for one document: peak
-    /// memory is one shard, whatever the grid size. A
-    /// [`StreamConfig::row_cap`] bounds the total rows emitted across all
-    /// shards; the summary still aggregates every scenario.
+    /// memory is one shard, whatever the grid size. Shards are cut and
+    /// executed exactly as the checkpointed jobs cut theirs, so batches
+    /// never straddle a shard boundary. A [`StreamConfig::row_cap`] bounds
+    /// the total rows emitted across all shards; the summary still
+    /// aggregates every scenario.
     pub fn run_sharded(
         &self,
         config: &StreamConfig,
         rows_per_shard: usize,
         emit: &mut dyn FnMut(SweepReport),
     ) -> SweepReport {
-        let rows_per_shard = rows_per_shard.max(1);
-        let row_cap = config.row_cap.unwrap_or(usize::MAX);
-        let mut rows_emitted = 0usize;
-        let mut aggregator = StreamAggregator::new();
-        let mut shard_index = 0usize;
-        let mut shard = SweepReport::new(format!("{}.shard0", self.name));
+        let plan = ClusterPlan::exact(self.scenario_count());
+        let per_shard = rows_per_shard.max(1);
+        let mut rows_left = config.row_cap.unwrap_or(usize::MAX);
+        let mut fold = SummaryFold::default();
         let mut accum = ReuseAccum::new();
-        let started = std::time::Instant::now();
-        let fabrics_built = self.drive(true, config, &mut accum, &mut |result| {
-            aggregator.absorb(&result);
-            if rows_emitted + shard.rows.len() < row_cap {
-                push_row(&mut shard, result);
+        let started = Instant::now();
+        let cache = FabricCache::from_grid(self);
+        for k in 0..plan.evaluated().div_ceil(per_shard) {
+            let start = k * per_shard;
+            let end = plan.evaluated().min(start + per_shard);
+            let mut shard = self.execute_shard(&plan, &cache, config, k, start..end, &mut accum);
+            fold.absorb_rows(&plan, start, &shard)
+                .expect("executed rows carry their summary metrics");
+            truncate_rows(&mut shard, rows_left);
+            rows_left -= shard.rows.len();
+            if !shard.rows.is_empty() {
+                emit(shard);
             }
-            if shard.rows.len() >= rows_per_shard {
-                shard_index += 1;
-                rows_emitted += shard.rows.len();
-                let full = std::mem::replace(
-                    &mut shard,
-                    SweepReport::new(format!("{}.shard{shard_index}", self.name)),
-                );
-                emit(full);
-            }
-        });
-        let wall_s = started.elapsed().as_secs_f64();
-        if !shard.rows.is_empty() {
-            emit(shard);
         }
         let mut master = SweepReport::new(self.name.clone());
-        let scenarios = aggregator.scenarios;
-        aggregator.finish(&mut master, fabrics_built);
-        master.throughput = Some(ThroughputStats {
-            scenarios,
-            wall_s,
-            threads: rayon::current_num_threads(),
-        });
-        master.reuse = config.reuse.then(|| accum.stats());
+        finish_run(&mut master, fold, &cache, &plan, started, config, &accum);
         master
     }
 
-    fn run_with(&self, parallel: bool, config: &StreamConfig) -> SweepReport {
+    /// Execute every position of `plan`, keeping rows up to the config's
+    /// row cap: the body of [`SweepGrid::run_streaming`] and
+    /// [`SweepGrid::run_sampled`].
+    pub(crate) fn run_plan(&self, plan: &ClusterPlan, config: &StreamConfig) -> SweepReport {
         let row_cap = config.row_cap.unwrap_or(usize::MAX);
         let mut report = SweepReport::new(self.name.clone());
-        let mut aggregator = StreamAggregator::new();
+        let mut fold = SummaryFold::default();
         let mut accum = ReuseAccum::new();
-        let started = std::time::Instant::now();
-        let fabrics_built = self.drive(parallel, config, &mut accum, &mut |result| {
-            aggregator.absorb(&result);
-            if report.rows.len() < row_cap {
-                push_row(&mut report, result);
-            }
-        });
-        let wall_s = started.elapsed().as_secs_f64();
-        let scenarios = aggregator.scenarios;
-        aggregator.finish(&mut report, fabrics_built);
-        report.throughput = Some(ThroughputStats {
-            scenarios,
-            wall_s,
-            threads: if parallel {
-                rayon::current_num_threads()
-            } else {
-                1
+        let started = Instant::now();
+        let cache = FabricCache::from_grid(self);
+        let positions = 0..plan.evaluated();
+        self.drive(
+            plan,
+            positions,
+            &cache,
+            config,
+            &mut accum,
+            &mut |result, weight| {
+                fold.absorb(
+                    weight,
+                    result.satisfaction,
+                    result.mean_latency_ns,
+                    result.energy.as_ref(),
+                );
+                if report.rows.len() < row_cap {
+                    push_row(&mut report, plan, result, weight);
+                }
             },
-        });
-        report.reuse = config.reuse.then(|| accum.stats());
+        );
+        finish_run(&mut report, fold, &cache, plan, started, config, &accum);
         report
+    }
+
+    /// The shard executor: run plan positions `range` as shard `k`, a
+    /// self-contained report named `{name}.shard{k}` holding every row.
+    pub(crate) fn execute_shard(
+        &self,
+        plan: &ClusterPlan,
+        cache: &FabricCache,
+        config: &StreamConfig,
+        k: usize,
+        range: Range<usize>,
+        accum: &mut ReuseAccum,
+    ) -> SweepReport {
+        let mut shard = SweepReport::new(format!("{}.shard{k}", self.name));
+        self.drive(plan, range, cache, config, accum, &mut |result, weight| {
+            push_row(&mut shard, plan, result, weight)
+        });
+        shard
     }
 
     /// Number of distinct fabric topologies the grid's hardware axes
@@ -374,154 +393,231 @@ impl SweepGrid {
         unique_fabric_configs(self).len()
     }
 
-    /// The core streaming driver: decode scenarios lazily in batches,
-    /// execute each batch across the pool (or serially) through the
-    /// dedup-planned reuse layer, and visit every result in grid-expansion
-    /// order. Returns the number of distinct fabrics built; reuse
-    /// accounting folds into `accum`.
+    /// The one driver: decode plan positions `positions` in batches of
+    /// `config.batch_size` (at least 1), execute each batch across the pool
+    /// through the dedup-planned reuse layer, and visit every result with
+    /// its plan weight, in plan order. Reuse accounting folds into `accum`.
     fn drive(
         &self,
-        parallel: bool,
+        plan: &ClusterPlan,
+        positions: Range<usize>,
+        cache: &FabricCache,
         config: &StreamConfig,
         accum: &mut ReuseAccum,
-        visit: &mut dyn FnMut(ScenarioResult),
-    ) -> usize {
+        visit: &mut dyn FnMut(ScenarioResult, usize),
+    ) {
         let batch_size = config.batch_size.max(1);
-        let mut scenarios = self.scenarios();
-        if scenarios.len() == 0 {
-            return 0;
-        }
-        // Every distinct topology is built exactly once, up front, from the
-        // hardware axes alone (independent of how many load points,
-        // latencies, or replicates multiply the grid); worker threads then
-        // share the built `RackFabric`s through `Arc` instead of cloning
-        // per scenario.
-        let cache = FabricCache::from_grid(self, parallel);
-        let hop = self.indirect_hop_latency_ns;
-        let energy_config = self.energy_config;
-        let mut batch: Vec<Scenario> = Vec::with_capacity(batch_size.min(scenarios.len()));
-        // Serial runs reuse one scratch for the entire grid; parallel
-        // batches build one per pool worker via `parallel_map_with`.
-        let mut serial_scratch = WorkerScratch::new();
-        loop {
+        let scenarios = self.scenarios();
+        let mut batch: Vec<Scenario> = Vec::with_capacity(batch_size.min(positions.len()));
+        let mut start = positions.start;
+        while start < positions.end {
+            let end = positions.end.min(start.saturating_add(batch_size));
             batch.clear();
-            batch.extend(scenarios.by_ref().take(batch_size));
-            if batch.is_empty() {
-                break;
-            }
+            batch.extend((start..end).map(|pos| {
+                scenarios
+                    .get(plan.entry(pos).0)
+                    .expect("plan index within grid bounds")
+            }));
             let results = execute_batch(
                 &batch,
-                &cache,
-                hop,
-                &energy_config,
+                cache,
+                self.indirect_hop_latency_ns,
+                &self.energy_config,
                 config.reuse,
-                if parallel {
-                    None
-                } else {
-                    Some(&mut serial_scratch)
-                },
                 accum,
             );
-            for result in results {
-                visit(result);
+            for (pos, result) in (start..end).zip(results) {
+                visit(result, plan.entry(pos).1);
             }
+            start = end;
         }
-        cache.len()
     }
 }
 
-/// Append one result's row (and energy entry, if any) to a report.
-pub(crate) fn push_row(report: &mut SweepReport, result: ScenarioResult) {
-    let row: SweepRow = result.to_row();
+/// Close a run's report: the summary block, then the JSON-excluded
+/// throughput and reuse metadata.
+fn finish_run(
+    report: &mut SweepReport,
+    fold: SummaryFold,
+    cache: &FabricCache,
+    plan: &ClusterPlan,
+    started: Instant,
+    config: &StreamConfig,
+    accum: &ReuseAccum,
+) {
+    fold.finish(report, cache.len());
+    report.throughput = Some(ThroughputStats {
+        scenarios: plan.evaluated(),
+        wall_s: started.elapsed().as_secs_f64(),
+        threads: rayon::current_num_threads(),
+    });
+    report.reuse = config.reuse.then(|| accum.stats());
+}
+
+/// The one row writer: append one result's row (and energy entry, if
+/// any) to a report. Rows of a sampled plan carry their cluster weight as
+/// an extra `cluster_weight` parameter after the scenario's own, so
+/// sampled rows are self-describing in the JSON.
+fn push_row(report: &mut SweepReport, plan: &ClusterPlan, result: ScenarioResult, weight: usize) {
+    let mut row: SweepRow = result.to_row();
+    if !plan.exact {
+        row.params
+            .push(("cluster_weight".to_string(), weight.to_string()));
+    }
     if let Some(energy) = result.energy {
         report.energy.push((row.label.clone(), energy));
     }
     report.rows.push(row);
 }
 
-/// Running aggregation of the summary metrics, folding results in
-/// grid-expansion order with exactly the operation sequence the
-/// materialized implementation used — so the emitted summary block is
-/// byte-identical whether rows were retained or streamed past.
-pub(crate) struct StreamAggregator {
-    pub(crate) scenarios: usize,
+/// Each row of a report with its energy entry, if any. Energy entries are
+/// a label-aligned subsequence of the rows, so a forward pointer recovers
+/// them.
+fn rows_with_energy(
+    report: &SweepReport,
+) -> impl Iterator<Item = (&SweepRow, Option<&EnergyStats>)> {
+    let mut energy = report.energy.iter().peekable();
+    report.rows.iter().map(move |row| {
+        let stats = energy.next_if(|(label, _)| *label == row.label);
+        (row, stats.map(|(_, stats)| stats))
+    })
+}
+
+/// Keep the first `keep` rows of a report and their energy entries.
+fn truncate_rows(report: &mut SweepReport, keep: usize) {
+    let energy_kept = rows_with_energy(report)
+        .take(keep)
+        .filter(|(_, energy)| energy.is_some())
+        .count();
+    report.rows.truncate(keep);
+    report.energy.truncate(energy_kept);
+}
+
+/// The one summary fold: weighted running sums in plan order. With every
+/// weight at one it performs exactly the operations of a plain unweighted
+/// fold. Denominators are the weight absorbed so far, so a partial fold (a
+/// suspended job) summarizes what it saw, and a complete sampled fold
+/// divides by the full grid population its weights cover.
+#[derive(Debug)]
+struct SummaryFold {
+    weight: usize,
     satisfaction_sum: f64,
     satisfaction_min: f64,
     latency_sum: f64,
-    energy_count: usize,
+    energy_weight: usize,
     energy_total_j: f64,
     energy_watts_sum: f64,
 }
 
-impl StreamAggregator {
-    pub(crate) fn new() -> Self {
-        StreamAggregator {
-            scenarios: 0,
+impl Default for SummaryFold {
+    fn default() -> Self {
+        SummaryFold {
+            weight: 0,
             satisfaction_sum: 0.0,
             satisfaction_min: f64::MAX,
             latency_sum: 0.0,
-            energy_count: 0,
+            energy_weight: 0,
             energy_total_j: 0.0,
             energy_watts_sum: 0.0,
         }
     }
+}
 
-    fn absorb(&mut self, result: &ScenarioResult) {
-        self.absorb_parts(
-            result.satisfaction,
-            result.mean_latency_ns,
-            result.energy.as_ref(),
-        );
-    }
-
-    /// Fold one scenario's summary contribution from its bare parts. This
-    /// is `absorb` with the [`ScenarioResult`] taken apart, so the jobs
-    /// layer can re-fold a summary from *parsed* shard rows (whose
-    /// satisfaction/latency/energy fields round-trip bit-exactly through
-    /// JSON) with the identical operation sequence — the merged summary is
-    /// byte-identical to an uninterrupted run's.
-    pub(crate) fn absorb_parts(
+impl SummaryFold {
+    /// Fold one scenario's summary contribution, standing for `weight`
+    /// scenarios of the grid.
+    fn absorb(
         &mut self,
+        weight: usize,
         satisfaction: f64,
         mean_latency_ns: f64,
-        energy: Option<&crate::energy::EnergyStats>,
+        energy: Option<&EnergyStats>,
     ) {
-        self.scenarios += 1;
-        self.satisfaction_sum += satisfaction;
+        let w = weight as f64;
+        self.weight += weight;
+        self.satisfaction_sum += w * satisfaction;
         self.satisfaction_min = self.satisfaction_min.min(satisfaction);
-        self.latency_sum += mean_latency_ns;
+        self.latency_sum += w * mean_latency_ns;
         if let Some(energy) = energy {
-            self.energy_count += 1;
-            self.energy_total_j += energy.total_joules();
-            self.energy_watts_sum += energy.watts();
+            self.energy_weight += weight;
+            self.energy_total_j += w * energy.total_joules();
+            self.energy_watts_sum += w * energy.watts();
         }
     }
 
-    pub(crate) fn finish(self, report: &mut SweepReport, fabrics_built: usize) {
-        let n = self.scenarios;
-        if n == 0 {
+    /// Re-fold a shard's rows, the first of which is plan position
+    /// `start`. Row metrics round-trip bit-exactly through the shard JSON
+    /// and weights come from the (deterministically rebuilt) plan, so this
+    /// is the operation sequence the live run used.
+    fn absorb_rows(
+        &mut self,
+        plan: &ClusterPlan,
+        start: usize,
+        shard: &SweepReport,
+    ) -> Result<(), String> {
+        for (pos, (row, energy)) in (start..).zip(rows_with_energy(shard)) {
+            let metric = |name: &str| {
+                row.metric(name)
+                    .ok_or_else(|| format!("shard {} row {} lacks {name}", shard.name, row.label))
+            };
+            if pos >= plan.evaluated() {
+                return Err(format!("shard {} has more rows than the plan", shard.name));
+            }
+            let weight = plan.entry(pos).1;
+            self.absorb(
+                weight,
+                metric("satisfaction")?,
+                metric("mean_latency_ns")?,
+                energy,
+            );
+        }
+        Ok(())
+    }
+
+    fn finish(self, report: &mut SweepReport, fabrics_built: usize) {
+        if self.weight == 0 {
             return;
         }
+        let n = self.weight as f64;
         report.summary = vec![
-            ("scenarios".to_string(), n as f64),
+            ("scenarios".to_string(), n),
             ("fabrics_built".to_string(), fabrics_built as f64),
-            (
-                "mean_satisfaction".to_string(),
-                self.satisfaction_sum / n as f64,
-            ),
+            ("mean_satisfaction".to_string(), self.satisfaction_sum / n),
             ("min_satisfaction".to_string(), self.satisfaction_min),
-            ("mean_latency_ns".to_string(), self.latency_sum / n as f64),
+            ("mean_latency_ns".to_string(), self.latency_sum / n),
         ];
-        if self.energy_count > 0 {
+        if self.energy_weight > 0 {
             report
                 .summary
                 .push(("total_energy_j".to_string(), self.energy_total_j));
             report.summary.push((
                 "mean_power_w".to_string(),
-                self.energy_watts_sum / self.energy_count as f64,
+                self.energy_watts_sum / self.energy_weight as f64,
             ));
         }
     }
+}
+
+/// The one shard merge: concatenate shards (in shard order, a prefix of
+/// the plan) into one report and re-fold the summary from their rows, so
+/// a merged report is byte-identical to an uninterrupted run of the same
+/// plan whether its shards came from execution, from disk, or a mix.
+/// `fabrics_built` comes from the grid's hardware axes, so a merge of
+/// fully cached shards needs no fabric.
+pub(crate) fn merge_shards(
+    grid: &SweepGrid,
+    plan: &ClusterPlan,
+    shards: &[SweepReport],
+) -> Result<SweepReport, String> {
+    let mut merged = SweepReport::new(grid.name.clone());
+    let mut fold = SummaryFold::default();
+    for shard in shards {
+        fold.absorb_rows(plan, merged.rows.len(), shard)?;
+        merged.rows.extend(shard.rows.iter().cloned());
+        merged.energy.extend(shard.energy.iter().cloned());
+    }
+    fold.finish(&mut merged, grid.distinct_fabric_count());
+    Ok(merged)
 }
 
 /// Memoized fabric constructions: scenarios that share a topology share one
@@ -550,16 +646,9 @@ impl FabricCache {
     /// rack size, fibers, wavelengths, data rate, FEC derating) can
     /// produce, in parallel. Two FEC configs with the same bandwidth
     /// overhead derate to the same wavelength rate and share a fabric.
-    pub(crate) fn from_grid(grid: &SweepGrid, parallel: bool) -> Self {
+    pub(crate) fn from_grid(grid: &SweepGrid) -> Self {
         let unique = unique_fabric_configs(grid);
-        let built: Vec<Arc<RackFabric>> = if parallel {
-            parallel_map(&unique, |(_, config)| Arc::new(RackFabric::new(*config)))
-        } else {
-            unique
-                .iter()
-                .map(|(_, config)| Arc::new(RackFabric::new(*config)))
-                .collect()
-        };
+        let built = parallel_map(&unique, |(_, config)| Arc::new(RackFabric::new(*config)));
         FabricCache {
             fabrics: unique.into_iter().map(|(k, _)| k).zip(built).collect(),
         }
@@ -629,11 +718,11 @@ fn physical_key(scenario: &Scenario) -> PhysicalKey {
 /// executed shards). Finalized into a [`ReuseStats`] block on the report.
 #[derive(Debug, Default)]
 pub(crate) struct ReuseAccum {
-    pub(crate) groups: usize,
-    pub(crate) leaders_solved: usize,
-    pub(crate) followers_replayed: usize,
-    pub(crate) matrices_reused: usize,
-    pub(crate) solver_s_saved: f64,
+    groups: usize,
+    leaders_solved: usize,
+    followers_replayed: usize,
+    matrices_reused: usize,
+    solver_s_saved: f64,
 }
 
 impl ReuseAccum {
@@ -681,17 +770,54 @@ enum RetainedReport {
 /// One leader's solve: the finished result, the retained report digest for
 /// follower replay, and the measured solve time (what each follower is
 /// credited as saved).
-pub(crate) struct SolvedScenario {
+struct SolvedScenario {
     result: ScenarioResult,
     retained: RetainedReport,
     solve_s: f64,
 }
 
+/// Account a scenario's energy from its solve's retained digest: the one
+/// accounting path for leaders and the followers replaying them, so a
+/// follower's stats are bit-identical to solving it.
+fn account_retained(
+    retained: &RetainedReport,
+    scenario: &Scenario,
+    energy_config: &EnergyConfig,
+) -> Option<EnergyStats> {
+    let mode = scenario.energy_mode?;
+    let model = EnergyModel::new(mode, *energy_config, &scenario.fabric, &scenario.fec);
+    Some(match *retained {
+        RetainedReport::Flow {
+            direct_gbps,
+            indirect_gbps,
+        } => model.account(1, 0, direct_gbps, indirect_gbps),
+        RetainedReport::Timeline {
+            epochs,
+            reconfigurations,
+            direct_gbps,
+            indirect_gbps,
+        } => model.account(epochs, reconfigurations, direct_gbps, indirect_gbps),
+        RetainedReport::FlexGrid {
+            epochs,
+            defrag_events,
+            carried_direct_gbps,
+            carried_indirect_gbps,
+            wire_weighted_gbps,
+        } => model.account_flexgrid_parts(
+            epochs,
+            defrag_events,
+            carried_direct_gbps,
+            carried_indirect_gbps,
+            wire_weighted_gbps,
+        ),
+    })
+}
+
 /// Materialize a follower's result from its group leader's solve: clone the
 /// result, swap in the follower's own scenario (label, params, energy mode,
-/// FEC), and re-account energy by replaying the retained digest through the
-/// follower's `EnergyModel`. Bit-identical to solving the follower, because
-/// the solver never sees the axes the physical key factored out and energy
+/// FEC), and re-account energy from the retained digest under the
+/// follower's scenario. Bit-identical to solving the follower, because the
+/// solver never sees the axes the physical key factored out and energy
 /// accounting is a pure function of the digest.
 fn replay_scenario(
     leader: &SolvedScenario,
@@ -700,34 +826,7 @@ fn replay_scenario(
 ) -> ScenarioResult {
     let mut result = leader.result.clone();
     result.scenario = scenario.clone();
-    result.energy = scenario.energy_mode.map(|mode| {
-        let model = EnergyModel::new(mode, *energy_config, &scenario.fabric, &scenario.fec);
-        match leader.retained {
-            RetainedReport::Flow {
-                direct_gbps,
-                indirect_gbps,
-            } => model.account(1, 0, direct_gbps, indirect_gbps),
-            RetainedReport::Timeline {
-                epochs,
-                reconfigurations,
-                direct_gbps,
-                indirect_gbps,
-            } => model.account(epochs, reconfigurations, direct_gbps, indirect_gbps),
-            RetainedReport::FlexGrid {
-                epochs,
-                defrag_events,
-                carried_direct_gbps,
-                carried_indirect_gbps,
-                wire_weighted_gbps,
-            } => model.account_flexgrid_parts(
-                epochs,
-                defrag_events,
-                carried_direct_gbps,
-                carried_indirect_gbps,
-                wire_weighted_gbps,
-            ),
-        }
-    });
+    result.energy = account_retained(&leader.retained, scenario, energy_config);
     result
 }
 
@@ -749,50 +848,30 @@ enum Role {
 /// plan is a pure function of the batch contents — no concurrent memo
 /// cache — so results are thread-count- and axis-reorder-invariant by
 /// construction, and byte-identical to `reuse: false`.
-///
-/// `serial_scratch: Some(..)` runs everything on the caller's thread with
-/// the provided scratch (the `run_serial` reference path); `None` fans out
-/// across the pool with one scratch per worker.
-pub(crate) fn execute_batch(
+fn execute_batch(
     batch: &[Scenario],
     cache: &FabricCache,
     indirect_hop_ns: f64,
     energy_config: &EnergyConfig,
     reuse: bool,
-    serial_scratch: Option<&mut WorkerScratch>,
     accum: &mut ReuseAccum,
 ) -> Vec<ScenarioResult> {
     let matrices = AtomicUsize::new(0);
+    let solve = |scratch: &mut WorkerScratch, s: &Scenario| {
+        solve_scenario(
+            s,
+            cache,
+            indirect_hop_ns,
+            energy_config,
+            reuse,
+            scratch,
+            &matrices,
+        )
+    };
     if !reuse {
-        return match serial_scratch {
-            Some(scratch) => batch
-                .iter()
-                .map(|s| {
-                    solve_scenario(
-                        s,
-                        cache,
-                        indirect_hop_ns,
-                        energy_config,
-                        false,
-                        scratch,
-                        &matrices,
-                    )
-                    .result
-                })
-                .collect(),
-            None => parallel_map_with(batch, WorkerScratch::new, |scratch, s| {
-                solve_scenario(
-                    s,
-                    cache,
-                    indirect_hop_ns,
-                    energy_config,
-                    false,
-                    scratch,
-                    &matrices,
-                )
-                .result
-            }),
-        };
+        return parallel_map_with(batch, WorkerScratch::new, |scratch, s| {
+            solve(scratch, s).result
+        });
     }
 
     // Dedup plan: first occurrence of each physical key leads its group.
@@ -817,33 +896,8 @@ pub(crate) fn execute_batch(
         }
     }
 
-    let solved: Vec<SolvedScenario> = match serial_scratch {
-        Some(scratch) => leaders
-            .iter()
-            .map(|s| {
-                solve_scenario(
-                    s,
-                    cache,
-                    indirect_hop_ns,
-                    energy_config,
-                    true,
-                    scratch,
-                    &matrices,
-                )
-            })
-            .collect(),
-        None => parallel_map_with(&leaders, WorkerScratch::new, |scratch, s| {
-            solve_scenario(
-                s,
-                cache,
-                indirect_hop_ns,
-                energy_config,
-                true,
-                scratch,
-                &matrices,
-            )
-        }),
-    };
+    let solved: Vec<SolvedScenario> =
+        parallel_map_with(&leaders, WorkerScratch::new, |scratch, s| solve(scratch, s));
 
     accum.leaders_solved += leaders.len();
     accum.followers_replayed += batch.len() - leaders.len();
@@ -901,9 +955,6 @@ fn solve_scenario(
         // generator while staying a pure function of the scenario seed.
         seed: scenario.seed ^ 0x9E37_79B9_7F4A_7C15,
     };
-    let energy_model = scenario
-        .energy_mode
-        .map(|mode| EnergyModel::new(mode, *energy_config, &scenario.fabric, &scenario.fec));
     match &scenario.load {
         ScenarioLoad::Pattern(pattern) => {
             let flows = scratch.flows(
@@ -930,7 +981,7 @@ fn solve_scenario(
                 mean_latency_ns: report.mean_latency_ns,
                 epochs: 1,
                 reconfigurations: 0,
-                energy: energy_model.map(|m| m.account_flows(&report)),
+                energy: account_retained(&retained, scenario, energy_config),
                 flexgrid: None,
             };
             scratch.flow.recycle(report);
@@ -974,7 +1025,7 @@ fn solve_scenario(
                 mean_latency_ns: report.mean_latency_ns,
                 epochs: report.epochs.len(),
                 reconfigurations: report.reconfigurations,
-                energy: energy_model.map(|m| m.account_timeline(&report)),
+                energy: account_retained(&retained, scenario, energy_config),
                 flexgrid: None,
             };
             scratch.timeline.recycle(report);
@@ -1033,7 +1084,7 @@ fn solve_scenario(
                 mean_latency_ns,
                 epochs: report.epochs.len(),
                 reconfigurations: report.defrag_events,
-                energy: energy_model.map(|m| m.account_flexgrid(&report)),
+                energy: account_retained(&retained, scenario, energy_config),
                 flexgrid: Some(FlexGridRowMetrics {
                     blocking_probability: report.blocking_probability(),
                     fragmentation_index: report.mean_fragmentation_index,

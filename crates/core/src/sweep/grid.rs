@@ -34,7 +34,7 @@ use crate::sweep::scenario::{scenario_seed, FlexGridCase, Scenario, ScenarioLoad
 /// let report = grid.run();
 /// assert_eq!(report.rows.len(), 4);
 /// // Same grid, same bytes — serial or parallel.
-/// assert_eq!(report.to_json(), grid.run_serial().to_json());
+/// assert_eq!(report.to_json(), rayon::with_max_threads(1, || grid.run()).to_json());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepGrid {

@@ -25,17 +25,20 @@
 //!   threads one reusable scratch arena per worker through every scenario
 //!   that worker executes); [`configure_threads`] (`--threads` /
 //!   `PD_THREADS` plumbing); the `Arc`-shared fabric memoization cache; and
-//!   the batched streaming runner behind [`SweepGrid::run`],
-//!   [`SweepGrid::run_streaming`] (opt-in row cap), and
-//!   [`SweepGrid::run_sharded`] (bounded-memory JSON emission).
+//!   the one plan driver, weighted summary fold, row writer, shard
+//!   executor and shard merge behind [`SweepGrid::run`],
+//!   [`SweepGrid::run_streaming`] (opt-in row cap),
+//!   [`SweepGrid::run_sharded`] (bounded-memory JSON emission),
+//!   [`SweepGrid::run_sampled`] and the checkpointed jobs.
 //!
 //! [`SweepGrid::energy_modes`] adds the optional energy axis: each scenario
 //! is additionally accounted by `core::energy` under always-on and/or
 //! utilization-scaled transceiver assumptions; energy modes never perturb
 //! the scenario seed.
 //!
-//! Determinism contract: the same grid run twice — serially, in parallel at
-//! any thread count, streamed or materialized — yields byte-identical
+//! Determinism contract: the same grid run twice — at any thread count
+//! (including one, `rayon::with_max_threads(1, || grid.run())`), streamed
+//! or materialized — yields byte-identical
 //! [`SweepReport::to_json`](crate::report::SweepReport::to_json) output.
 
 pub(crate) mod codec;
@@ -179,7 +182,7 @@ mod tests {
     #[test]
     fn parallel_and_serial_runs_agree() {
         let grid = small_grid();
-        assert_eq!(grid.run(), grid.run_serial());
+        assert_eq!(grid.run(), rayon::with_max_threads(1, || grid.run()));
     }
 
     #[test]
@@ -453,7 +456,7 @@ mod tests {
     fn timeline_runs_are_deterministic_and_parallel_equals_serial() {
         let grid = timeline_grid();
         assert_eq!(grid.run().to_json(), grid.run().to_json());
-        assert_eq!(grid.run(), grid.run_serial());
+        assert_eq!(grid.run(), rayon::with_max_threads(1, || grid.run()));
     }
 
     #[test]
@@ -531,7 +534,7 @@ mod tests {
     fn flexgrid_runs_are_deterministic_and_parallel_equals_serial() {
         let grid = flexgrid_grid();
         assert_eq!(grid.run().to_json(), grid.run().to_json());
-        assert_eq!(grid.run(), grid.run_serial());
+        assert_eq!(grid.run(), rayon::with_max_threads(1, || grid.run()));
     }
 
     #[test]
@@ -584,7 +587,7 @@ mod tests {
         // The block is serialized, and identically so across runs.
         let json = report.to_json();
         assert!(json.contains("\"energy\":["));
-        assert_eq!(json, grid.run_serial().to_json());
+        assert_eq!(json, rayon::with_max_threads(1, || grid.run()).to_json());
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn process_job(
         },
         // Computation-reuse marker: followers replayed / scenarios covered
         // by the executed shards' dedup plans. Absent with "reuse":false.
-        match outcome.reuse {
+        match outcome.report.reuse {
             Some(stats) => format!(
                 " (reuse {}/{})",
                 stats.followers_replayed,

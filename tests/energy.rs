@@ -64,7 +64,7 @@ fn parallel_and_serial_energy_json_are_byte_identical() {
     ];
     for grid in grids {
         let parallel = grid.run().to_json();
-        let serial = grid.run_serial().to_json();
+        let serial = rayon::with_max_threads(1, || grid.run()).to_json();
         assert_eq!(parallel, serial);
         // And stable across repeated runs.
         assert_eq!(parallel, grid.run().to_json());

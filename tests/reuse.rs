@@ -174,15 +174,17 @@ fn jobs_report_reuse_counters_and_stay_byte_identical() {
     let mut spec = JobSpec::new(energy_axis_grid());
     spec.rows_per_shard = 5;
     let outcome = runner.run(&spec).expect("job runs");
-    let stats = outcome.reuse.expect("reuse-on job attaches counters");
+    let stats = outcome
+        .report
+        .reuse
+        .expect("reuse-on job attaches counters");
     assert_eq!(stats.scenarios(), outcome.scenarios_executed);
     assert!(stats.followers_replayed > 0);
-    assert_eq!(outcome.report.reuse, outcome.reuse);
 
     // A fully cached rerun solved nothing: counters are all zero.
     let cached = runner.run(&spec).expect("cached rerun");
     assert_eq!(cached.scenarios_executed, 0);
-    assert_eq!(cached.reuse.expect("still attached").scenarios(), 0);
+    assert_eq!(cached.report.reuse.expect("still attached").scenarios(), 0);
     assert_eq!(cached.report.to_json(), outcome.report.to_json());
 
     // A reuse-off spec shares the cache (same key) and the same bytes, and
@@ -191,7 +193,7 @@ fn jobs_report_reuse_counters_and_stay_byte_identical() {
     off.reuse = false;
     let fresh_dir = dir.join("fresh");
     let off_outcome = JobRunner::new(&fresh_dir).run(&off).expect("reuse-off job");
-    assert!(off_outcome.reuse.is_none());
+    assert!(off_outcome.report.reuse.is_none());
     assert_eq!(off_outcome.report.to_json(), outcome.report.to_json());
     let _ = fs::remove_dir_all(&dir);
 }

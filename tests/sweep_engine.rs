@@ -28,7 +28,7 @@ fn two_axis_grid_twice_is_byte_identical_json() {
 #[test]
 fn parallel_matches_serial_through_umbrella() {
     let grid = two_axis_grid();
-    assert_eq!(grid.run(), grid.run_serial());
+    assert_eq!(grid.run(), rayon::with_max_threads(1, || grid.run()));
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn timeline_sweep_json_is_byte_identical_across_runs() {
 #[test]
 fn timeline_parallel_equals_serial() {
     let grid = acceptance_grid();
-    assert_eq!(grid.run(), grid.run_serial());
+    assert_eq!(grid.run(), rayon::with_max_threads(1, || grid.run()));
 }
 
 #[test]
