@@ -1,11 +1,13 @@
 //! A complete, hand-rolled JSON deserializer.
 //!
-//! This is the parse side of the workspace's serialization story: the
-//! writers (e.g. `SweepReport::to_json` in `disagg_core`) are hand-rolled
-//! for byte-determinism, and this module is their inverse. It implements
-//! the full RFC 8259 grammar — every escape (including `\uXXXX` surrogate
-//! pairs), fraction/exponent numbers, arbitrarily nested containers — with
-//! byte-offset error reporting and a recursion-depth guard.
+//! This is the parse side of the crate's JSON format: the writers (e.g.
+//! [`SweepReport::to_json`](crate::report::SweepReport::to_json)) are
+//! hand-rolled for byte-determinism, and this module is their inverse. It
+//! implements the full RFC 8259 grammar — every escape (including
+//! `\uXXXX` surrogate pairs), fraction/exponent numbers, arbitrarily nested
+//! containers — with byte-offset error reporting and a recursion-depth
+//! guard. A key repeated within one object is an error: the document
+//! would otherwise have two readings (first match or last write).
 //!
 //! Two deliberate departures from `serde_json`'s data model, both in the
 //! service of *lossless round-trips*:
@@ -20,7 +22,7 @@
 //!   re-emitting a parsed document can reproduce the writer's key order.
 //!
 //! ```
-//! use serde::json::{parse, Value};
+//! use disagg_core::codec::json::{parse, Value};
 //!
 //! let v = parse(r#"{"name":"sweep","seeds":[18446744073709551615],"ok":true}"#).unwrap();
 //! assert_eq!(v.get("name").and_then(Value::as_str), Some("sweep"));
@@ -29,11 +31,17 @@
 //! assert!(parse("{\"trailing\":1} garbage").is_err());
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Maximum container nesting depth accepted by [`parse`]; prevents stack
 /// exhaustion on adversarial input (e.g. ten thousand `[`s).
 const MAX_DEPTH: usize = 128;
+
+/// Objects up to this many fields check for a repeated key by a linear
+/// scan; wider ones switch to a hash set, so a hostile object with many
+/// keys still parses in linear time.
+const LINEAR_KEY_SCAN: usize = 32;
 
 /// A JSON number, stored as its raw literal text.
 ///
@@ -72,8 +80,8 @@ impl Number {
 
 /// A parsed JSON document.
 ///
-/// Objects are order-preserving `(key, value)` lists — duplicate keys are
-/// kept as written; [`Value::get`] returns the first match.
+/// Objects are order-preserving `(key, value)` lists; [`parse`] rejects a
+/// key that repeats within one object, so every key is unique.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -91,7 +99,8 @@ pub enum Value {
 }
 
 impl Value {
-    /// Object field lookup (first match); `None` on non-objects.
+    /// Object field lookup; `None` on non-objects or a missing key. Keys of
+    /// a parsed object are unique, so there is at most one match.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -248,7 +257,8 @@ impl Parser<'_> {
 
     fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let mut fields: Vec<(String, Value)> = Vec::new();
+        let mut wide_keys = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -256,7 +266,22 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            let repeated = if fields.len() < LINEAR_KEY_SCAN {
+                fields.iter().any(|(k, _)| *k == key)
+            } else {
+                if wide_keys.is_empty() {
+                    wide_keys.extend(fields.iter().map(|(k, _)| k.clone()));
+                }
+                !wide_keys.insert(key.clone())
+            };
+            if repeated {
+                return Err(ParseError {
+                    offset: key_at,
+                    message: format!("duplicate key {key:?}"),
+                });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -492,12 +517,11 @@ mod tests {
 
     #[test]
     fn containers_nest_and_preserve_order() {
-        let v = parse(r#"{"b":1,"a":[true,null,{"x":2}],"b":3}"#).unwrap();
+        let v = parse(r#"{"b":1,"a":[true,null,{"x":2}],"c":3}"#).unwrap();
         let fields = v.as_object().unwrap();
         assert_eq!(fields[0].0, "b");
         assert_eq!(fields[1].0, "a");
-        // Duplicate keys are kept; lookup returns the first.
-        assert_eq!(fields.len(), 3);
+        assert_eq!(fields[2].0, "c");
         assert_eq!(v.get("b").and_then(Value::as_u64), Some(1));
         let a = v.get("a").and_then(Value::as_array).unwrap();
         assert_eq!(a[0].as_bool(), Some(true));
@@ -505,6 +529,26 @@ mod tests {
         assert_eq!(a[2].get("x").and_then(Value::as_u64), Some(2));
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
         assert_eq!(parse("{ }").unwrap(), Value::Object(vec![]));
+    }
+
+    #[test]
+    fn duplicate_keys_rejected_at_the_repeat() {
+        let e = parse(r#"{"rows_per_shard":3,"rows_per_shard":7}"#).unwrap_err();
+        assert_eq!(e.offset, 20);
+        assert_eq!(
+            e.to_string(),
+            r#"duplicate key "rows_per_shard" at byte 20"#
+        );
+        // Escapes are resolved before comparing, in nested objects too.
+        assert!(parse(r#"[{"x":{"a":1,"\u0061":2}}]"#).is_err());
+        // The same key in sibling objects is fine.
+        assert!(parse(r#"[{"a":1},{"a":2}]"#).is_ok());
+        // Wide objects switch to a hash set and still catch the repeat.
+        let wide: Vec<String> = (0..100).map(|i| format!("\"k{i}\":{i}")).collect();
+        let doc = format!("{{{}}}", wide.join(","));
+        assert_eq!(parse(&doc).unwrap().as_object().unwrap().len(), 100);
+        let doc = format!("{{{},\"k7\":0}}", wide.join(","));
+        assert!(parse(&doc).unwrap_err().message.contains("\"k7\""));
     }
 
     #[test]

@@ -1,13 +1,23 @@
-//! Shared helpers for decoding `serde::json::Value` trees into typed
-//! structures, used by the [`SweepReport`](crate::report::SweepReport) and
-//! [`SweepGrid`](crate::sweep::SweepGrid) parse paths and the
-//! [`jobs`](crate::jobs) layer.
+//! The workspace's JSON format, read and written in one place.
 //!
-//! All decoders report errors as plain strings carrying the field path that
-//! failed — good enough to debug a malformed job file, with no error-type
-//! machinery to maintain.
+//! Every artifact this crate emits — sweep reports, grids, job files and
+//! shards, the paper-artifact summaries — is JSON written by hand so that
+//! its bytes are deterministic: collections are ordered and floats use
+//! Rust's shortest-round-trip formatting. This module owns the three layers
+//! of that format:
+//!
+//! * **parse** — [`json::parse`] turns text into an order-preserving
+//!   [`Value`] tree with raw-text numbers;
+//! * **decode** — the field helpers below turn a tree into typed
+//!   structures, reporting errors as plain strings carrying the field path
+//!   that failed (good enough to debug a malformed job file, with no
+//!   error-type machinery to maintain);
+//! * **write** — `json_string` and `json_number` are the literal
+//!   writers every hand-rolled `to_json` shares.
 
-use serde::json::Value;
+pub mod json;
+
+use json::Value;
 
 /// A decode failure: the field path and what was wrong with it.
 pub type DecodeError = String;
@@ -77,4 +87,31 @@ pub(crate) fn u32_field(v: &Value, key: &str, ctx: &str) -> Result<u32, DecodeEr
 /// Required string field of an object.
 pub(crate) fn str_field<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a str, DecodeError> {
     as_str(field(v, key, ctx)?, &format!("{ctx}.{key}"))
+}
+
+/// Append a JSON string literal.
+pub(crate) fn json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Append a JSON number: shortest-round-trip for finite values (so parsing
+/// recovers identical bits), `null` for non-finite.
+pub(crate) fn json_number(out: &mut String, v: f64) {
+    if v.is_finite() {
+        out.push_str(&format!("{v}"));
+    } else {
+        out.push_str("null");
+    }
 }

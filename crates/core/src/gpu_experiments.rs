@@ -13,11 +13,10 @@
 
 use cpusim::pearson_correlation;
 use gpusim::{ApplicationProfile, GpuConfig, GpuTimingModel};
-use serde::{Deserialize, Serialize};
 use workloads::gpu::gpu_applications;
 
 /// Configuration of the GPU experiment sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuExperimentConfig {
     /// Additional HBM latencies to evaluate (ns); must include 0.
     pub latencies_ns: Vec<f64>,
@@ -35,7 +34,7 @@ impl Default for GpuExperimentConfig {
 }
 
 /// Result of one GPU application across the latency sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuBenchmarkResult {
     /// Application name.
     pub name: String,
@@ -85,7 +84,7 @@ impl GpuBenchmarkResult {
     /// Serialize to single-line JSON; the latency sweeps are written as
     /// `[latency_ns, value]` pairs.
     pub fn to_json(&self) -> String {
-        use crate::report::{json_number, json_string};
+        use crate::codec::{json_number, json_string};
         let write_pairs = |out: &mut String, pairs: &[(f64, f64)]| {
             out.push('[');
             for (i, (l, v)) in pairs.iter().enumerate() {
@@ -178,7 +177,7 @@ pub fn run_gpu_experiment(config: &GpuExperimentConfig) -> Vec<GpuBenchmarkResul
 
 /// The Fig. 10 correlations: slowdown vs L2 miss rate, vs HBM transactions
 /// per instruction, and vs memory-instruction fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuCorrelations {
     /// Pearson correlation of slowdown with L2 miss rate.
     pub with_l2_miss_rate: Option<f64>,

@@ -114,7 +114,7 @@ impl JobSpec {
     /// assert!(JobSpec::from_json(r#"{"grid":{},"shards":9}"#).is_err());
     /// ```
     pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        let doc = serde::json::parse(text).map_err(|e| format!("job: {e}"))?;
+        let doc = codec::json::parse(text).map_err(|e| format!("job: {e}"))?;
         let mut spec = JobSpec::default();
         let mut saw_grid = false;
         for (key, value) in codec::as_object(&doc, "job")? {

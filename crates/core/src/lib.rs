@@ -35,6 +35,9 @@
 //! * [`report`] — plain-text table formatting used by the bench binaries
 //!   and the JSON-able [`SweepReport`] schema every
 //!   sweep produces.
+//! * [`codec`] — the hand-written JSON layer every artifact goes through:
+//!   the [`codec::json`] parser, typed field decoders, and the literal
+//!   writers.
 //!
 //! The repository-level `ARCHITECTURE.md` documents how these modules sit
 //! between the device/fabric crates below and the `bench` binaries above.

@@ -13,10 +13,9 @@ use rack::bandwidth::{BandwidthSufficiency, GpuBandwidthBudget};
 use rack::isoperf::IsoPerformanceAnalysis;
 use rack::mcm::RackComposition;
 use rack::power::RackPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// All the analytical (non-simulation) results in one struct.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RackAnalysis {
     /// Table I rows: link technologies sized for a 2 TB/s escape target.
     pub table_i: Vec<EscapeSizing>,
@@ -73,7 +72,7 @@ impl RackAnalysis {
     /// (technologies, switch kinds, chip kinds) are written as their display
     /// labels; units are flattened to the suffix named in each key.
     pub fn to_json(&self) -> String {
-        use crate::report::{json_number, json_string};
+        use crate::codec::{json_number, json_string};
         let mut out = String::with_capacity(4096);
 
         out.push_str("{\"table_i\":[");
@@ -262,7 +261,7 @@ impl RackAnalysis {
 
 /// One Table II/IV switch as a JSON object.
 fn write_switch(out: &mut String, sw: &OpticalSwitch) {
-    use crate::report::{json_number, json_string};
+    use crate::codec::{json_number, json_string};
     out.push_str("{\"kind\":");
     json_string(out, &sw.kind.to_string());
     out.push_str(",\"radix\":");
@@ -283,7 +282,7 @@ fn write_switch(out: &mut String, sw: &OpticalSwitch) {
 /// A fabric connectivity report as a JSON object (same shape as the
 /// `fabric` object inside [`RackSummary::to_json`](crate::RackSummary)).
 fn write_fabric_report(out: &mut String, report: &FabricReport) {
-    use crate::report::{json_number, json_string};
+    use crate::codec::{json_number, json_string};
     out.push_str("{\"kind\":");
     json_string(out, crate::sweep::fabric_kind_label(report.kind));
     out.push_str(",\"planes\":");
@@ -349,7 +348,7 @@ mod tests {
         assert!(json.contains("table_iii"));
         assert!(json.contains("iso_performance"));
         // The output is well-formed JSON and the tables survive the trip.
-        let value = serde::json::parse(&json).unwrap();
+        let value = crate::codec::json::parse(&json).unwrap();
         let packings = value
             .get("table_iii")
             .and_then(|t| t.get("packings"))

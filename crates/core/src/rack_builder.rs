@@ -9,7 +9,6 @@ use photonics::units::Latency;
 use rack::mcm::RackComposition;
 use rack::node::BaselineRack;
 use rack::power::RackPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// A photonically-disaggregated HPC rack.
 #[derive(Debug, Clone)]
@@ -27,7 +26,7 @@ pub struct DisaggregatedRack {
 }
 
 /// A compact, serializable summary of the rack's headline properties.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackSummary {
     /// Total MCMs (the paper's 350).
     pub total_mcms: u32,
@@ -50,7 +49,7 @@ impl RackSummary {
     /// sweep report writers, so [`from_json`](Self::from_json) round-trips
     /// byte-identically.
     pub fn to_json(&self) -> String {
-        use crate::report::{json_number, json_string};
+        use crate::codec::{json_number, json_string};
         let mut out = String::with_capacity(256);
         out.push_str("{\"total_mcms\":");
         out.push_str(&self.total_mcms.to_string());
@@ -89,7 +88,7 @@ impl RackSummary {
     /// Parse a summary previously written by [`to_json`](Self::to_json).
     pub fn from_json(text: &str) -> Result<Self, crate::codec::DecodeError> {
         use crate::codec::{f64_field, field, str_field, u32_field};
-        let value = serde::json::parse(text).map_err(|e| format!("summary: {e}"))?;
+        let value = crate::codec::json::parse(text).map_err(|e| format!("summary: {e}"))?;
         let fabric = field(&value, "fabric", "summary")?;
         let kind_label = str_field(fabric, "kind", "summary.fabric")?;
         let kind = crate::sweep::codec::parse_fabric_kind(kind_label)

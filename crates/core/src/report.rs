@@ -3,11 +3,11 @@
 //! The harness prints the same rows/series the paper's tables and figures
 //! report, so a reader can diff them against the paper side by side.
 
+use crate::codec::{self, json_number, json_string};
 use crate::cpu_experiments::{CpuBenchmarkResult, SuiteSummary};
 use crate::energy::EnergyStats;
 use crate::gpu_experiments::GpuBenchmarkResult;
 use crate::rack_analysis::RackAnalysis;
-use serde::{Deserialize, Serialize};
 
 /// One row of a [`SweepReport`]: a labeled scenario with its input
 /// parameters (as display strings) and its output metrics.
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// `params` and `metrics` are ordered association lists rather than maps so
 /// that serialization order — and therefore the report's JSON byte stream —
 /// is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Short scenario label (unique within a report).
     pub label: String,
@@ -60,7 +60,7 @@ impl SweepRow {
 /// assert_eq!(report, grid().run());
 /// assert!(!report.to_json().contains("throughput"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputStats {
     /// Scenarios executed (including ones a row cap streamed past).
     pub scenarios: usize,
@@ -100,7 +100,7 @@ impl ThroughputStats {
 /// output byte, and the stats themselves may vary with batch size (dedup is
 /// planned per batch), so the block is deliberately excluded from both
 /// [`SweepReport`] equality and [`SweepReport::to_json`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReuseStats {
     /// Physical groups that actually had ≥ 2 members (i.e. produced at
     /// least one follower). Singleton groups are not counted.
@@ -151,7 +151,7 @@ impl ReuseStats {
 /// byte-identical to the exhaustive oracle. The accuracy contract the
 /// bounds state is pinned against `SweepGrid::run` by
 /// `tests/sampling_accuracy.rs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingStats {
     /// True when sampling degenerated to the exhaustive path (cluster
     /// budget ≥ scenario count, or the grid too small to pay for
@@ -227,7 +227,7 @@ impl SamplingStats {
 /// `sweep` binary emits it with `--json`, and the determinism contract of
 /// the sweep engine is stated over it (the same grid run twice yields
 /// byte-identical [`SweepReport::to_json`] output).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Report name (e.g. `"fig9"` or `"sweep"`).
     pub name: String,
@@ -305,10 +305,10 @@ impl SweepReport {
 
     /// Serialize the report to a single-line JSON string.
     ///
-    /// The vendored offline `serde` shim cannot serialize, so the writer is
-    /// hand-rolled; output is deterministic because all collections are
-    /// ordered and float formatting uses Rust's shortest-round-trip
-    /// representation. Non-finite metric values become `null`.
+    /// The writer is hand-rolled so the bytes are deterministic: all
+    /// collections are ordered and float formatting uses Rust's
+    /// shortest-round-trip representation. Non-finite metric values become
+    /// `null`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.rows.len() * 128);
         out.push_str("{\"name\":");
@@ -393,14 +393,14 @@ impl SweepReport {
 
     /// Parse a report serialized by [`SweepReport::to_json`].
     ///
-    /// The inverse of the writer through the vendored `serde::json`
-    /// deserializer: every retained field round-trips **byte-identically**
-    /// (`to_json` → `from_json` → `to_json` reproduces the input bytes).
-    /// Floats survive because the writer emits shortest-round-trip literals
-    /// and the parser re-parses them to identical bits; `null` metrics come
-    /// back as NaN and re-serialize as `null`. [`ThroughputStats`] is
-    /// wall-clock metadata excluded from the JSON, so a parsed report has
-    /// `throughput: None` — which [`PartialEq`] ignores.
+    /// The inverse of the writer through [`codec::json`]: every retained
+    /// field round-trips **byte-identically** (`to_json` → `from_json` →
+    /// `to_json` reproduces the input bytes). Floats survive because the
+    /// writer emits shortest-round-trip literals and the parser re-parses
+    /// them to identical bits; `null` metrics come back as NaN and
+    /// re-serialize as `null`. [`ThroughputStats`] is wall-clock metadata
+    /// excluded from the JSON, so a parsed report has `throughput: None` —
+    /// which [`PartialEq`] ignores.
     ///
     /// ```
     /// use disagg_core::sweep::SweepGrid;
@@ -413,7 +413,7 @@ impl SweepReport {
     /// assert_eq!(parsed.to_json(), json);
     /// ```
     pub fn from_json(text: &str) -> Result<Self, crate::codec::DecodeError> {
-        let doc = serde::json::parse(text).map_err(|e| format!("report: {e}"))?;
+        let doc = codec::json::parse(text).map_err(|e| format!("report: {e}"))?;
         let mut report = SweepReport::new(codec::str_field(&doc, "name", "report")?);
         report.summary = codec::as_object(codec::field(&doc, "summary", "report")?, "summary")?
             .iter()
@@ -456,14 +456,12 @@ impl SweepReport {
     }
 }
 
-use crate::codec;
-
 /// Decode one `energy` array entry back into [`EnergyStats`]. Only the raw
 /// fields are read; the derived metrics the writer also emits (`joules`,
 /// `watts`, `pj_per_bit`, `photonic_compute_ratio`) are recomputed from
 /// them bit-identically on re-serialization.
 fn decode_energy_stats(
-    entry: &serde::json::Value,
+    entry: &codec::json::Value,
     ctx: &str,
 ) -> Result<EnergyStats, crate::codec::DecodeError> {
     let mode_label = codec::str_field(entry, "mode", ctx)?;
@@ -479,33 +477,6 @@ fn decode_energy_stats(
         idle_energy_j: codec::f64_field(entry, "idle_j", ctx)?,
         compute_power_w: codec::f64_field(entry, "compute_power_w", ctx)?,
     })
-}
-
-/// Append a JSON string literal (shared with the grid/job writers).
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append a JSON number: shortest-round-trip for finite values (so parsing
-/// recovers identical bits), `null` for non-finite.
-pub(crate) fn json_number(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
 }
 
 /// Format a [`SweepReport`] as an aligned plain-text table: one line per

@@ -44,16 +44,15 @@ mod feature;
 mod kmeans;
 
 use fabric::FabricKind;
-use serde::json::Value;
-use serde::{Deserialize, Serialize};
 use workloads::TrafficPattern;
 
+use crate::codec::json::Value;
 use crate::codec::{self, DecodeError};
 use crate::report::{SamplingStats, SweepReport};
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// Knobs of the representative-scenario sampler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleConfig {
     /// Cluster budget: at most this many scenarios are simulated. The
     /// effective count can come out lower when the grid has fewer distinct
@@ -489,12 +488,12 @@ mod tests {
             seed: 17,
             max_iterations: 5,
         };
-        let doc = serde::json::parse(&config.to_json()).unwrap();
+        let doc = crate::codec::json::parse(&config.to_json()).unwrap();
         assert_eq!(
             SampleConfig::from_json_value(&doc, "sample").unwrap(),
             config
         );
-        let bad = serde::json::parse("{\"k\":4}").unwrap();
+        let bad = crate::codec::json::parse("{\"k\":4}").unwrap();
         assert!(SampleConfig::from_json_value(&bad, "sample").is_err());
         // Hash separates configs.
         assert_ne!(config.sample_hash(), SampleConfig::default().sample_hash());

@@ -1,5 +1,5 @@
 //! JSON serialization of [`SweepGrid`]: the deterministic writer, the
-//! parser (through the vendored `serde::json` deserializer), and the
+//! parser (through [`codec::json`](crate::codec::json)), and the
 //! content hash the [`jobs`](crate::jobs) layer keys its shard cache on.
 //!
 //! The writer emits every axis in a fixed field order with the same
@@ -17,12 +17,11 @@ use photonics::fec::FecConfig;
 use workloads::timeline::Phase;
 use workloads::{DemandTimeline, TrafficPattern};
 
-use crate::codec::{self, DecodeError};
+use crate::codec::json::Value;
+use crate::codec::{self, json_number, json_string, DecodeError};
 use crate::energy::{EnergyConfig, EnergyMode};
-use crate::report::{json_number, json_string};
 use crate::sweep::grid::SweepGrid;
 use crate::sweep::scenario::fabric_kind_label;
-use serde::json::Value;
 
 impl SweepGrid {
     /// Serialize the grid to a single-line JSON string: every axis, in
@@ -158,7 +157,7 @@ impl SweepGrid {
     /// assert!(SweepGrid::from_json(r#"{"mcms":[16]}"#).is_err()); // typo caught
     /// ```
     pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        let doc = serde::json::parse(text).map_err(|e| format!("grid: {e}"))?;
+        let doc = codec::json::parse(text).map_err(|e| format!("grid: {e}"))?;
         Self::from_json_value(&doc)
     }
 

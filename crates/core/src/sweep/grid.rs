@@ -3,7 +3,6 @@
 
 use fabric::{FabricKind, RackFabricConfig, ReallocationPolicy, SpectrumPolicy};
 use photonics::fec::FecConfig;
-use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
 
 use crate::energy::{EnergyConfig, EnergyMode};
@@ -36,7 +35,7 @@ use crate::sweep::scenario::{scenario_seed, FlexGridCase, Scenario, ScenarioLoad
 /// // Same grid, same bytes — serial or parallel.
 /// assert_eq!(report.to_json(), rayon::with_max_threads(1, || grid.run()).to_json());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     /// Report name.
     pub name: String,

@@ -4,7 +4,6 @@
 
 use fabric::{FabricKind, RackFabricConfig, ReallocationPolicy, SpectrumPolicy};
 use photonics::fec::FecConfig;
-use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
 
 use crate::energy::{EnergyMode, EnergyStats};
@@ -13,7 +12,7 @@ use crate::report::SweepRow;
 /// The offered load of one scenario: a single static demand matrix, or a
 /// phased [`DemandTimeline`] executed under a wavelength-reallocation
 /// policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioLoad {
     /// A static demand matrix drawn from a traffic pattern.
     Pattern(TrafficPattern),
@@ -67,7 +66,7 @@ impl ScenarioLoad {
 /// One point on the temporal load axis: a timeline and the policy it runs
 /// under. Policies are *excluded* from the scenario seed, so every policy
 /// is evaluated against the identical epoch-by-epoch demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineCase {
     /// The phased demand schedule.
     pub timeline: DemandTimeline,
@@ -79,7 +78,7 @@ pub struct TimelineCase {
 /// it runs under. Like [`TimelineCase`] policies, spectrum policies are
 /// *excluded* from the scenario seed — every policy (and the wavelength
 /// layer itself) is graded against the identical epoch-by-epoch demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlexGridCase {
     /// The phased demand schedule.
     pub timeline: DemandTimeline,
@@ -88,7 +87,7 @@ pub struct FlexGridCase {
 }
 
 /// Flex-grid-specific per-row metrics carried by [`ScenarioResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexGridRowMetrics {
     /// Blocked requests / non-trivial requests across the timeline.
     pub blocking_probability: f64,
@@ -101,7 +100,7 @@ pub struct FlexGridRowMetrics {
 }
 
 /// One expanded grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Position in grid-expansion order.
     pub index: usize,
@@ -204,7 +203,7 @@ pub fn fabric_kind_label(kind: FabricKind) -> &'static str {
 
 /// Result of one executed scenario (the flow-level aggregates of
 /// [`fabric::FlowSimReport`] without the per-flow allocations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// The scenario that produced this result.
     pub scenario: Scenario,

@@ -6,7 +6,6 @@
 //! LLC-to-memory bandwidth demand.
 
 use crate::config::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +29,7 @@ impl LookupResult {
 }
 
 /// Aggregate statistics for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
     pub accesses: u64,

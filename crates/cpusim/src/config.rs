@@ -5,10 +5,8 @@
 //! access latency — with the disaggregation latency added *between the LLC
 //! and main memory*, exactly where the paper inserts it.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and latency of a single cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
@@ -94,7 +92,7 @@ impl CacheConfig {
 /// pointer-chasing workloads — which is exactly why the fixed additional
 /// disaggregation latency hurts streaming, LLC-thrashing benchmarks (like
 /// Rodinia's `nw`) proportionally more, as the paper observes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Response latency when the access misses the open row (row activate +
     /// column access): ≈90 ns for DDR4, 90–140 ns for HBM.
@@ -158,7 +156,7 @@ impl MemoryConfig {
 }
 
 /// Which timing model the core uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// In-order pipeline: every memory access stalls the core for its full
     /// latency. Gives the clearest view of memory-latency sensitivity.
@@ -183,7 +181,7 @@ impl std::fmt::Display for CoreKind {
 }
 
 /// Core microarchitecture parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Timing model.
     pub kind: CoreKind,
@@ -232,7 +230,7 @@ impl CoreConfig {
 }
 
 /// Full simulator configuration: cache hierarchy + memory + core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// L1 data cache.
     pub l1d: CacheConfig,

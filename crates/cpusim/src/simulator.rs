@@ -6,10 +6,9 @@ use crate::core::{InOrderCore, OutOfOrderCore, TimingCore};
 use crate::hierarchy::{CacheHierarchy, HierarchyStats};
 use crate::recording::HierarchyRecording;
 use crate::trace::MemoryTrace;
-use serde::{Deserialize, Serialize};
 
 /// Result of simulating one trace on one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimResult {
     /// Total execution cycles.
     pub cycles: u64,

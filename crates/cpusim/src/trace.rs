@@ -7,10 +7,8 @@
 //! and *how much compute* separates the accesses, and the simulator decides
 //! *how long* that takes on a given core and cache hierarchy.
 
-use serde::{Deserialize, Serialize};
-
 /// A single memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Byte address accessed.
     pub addr: u64,
@@ -37,7 +35,7 @@ impl MemAccess {
 }
 
 /// A run of non-memory instructions followed by one memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Number of non-memory (ALU/branch/FP) instructions executed before the
     /// access.
@@ -57,7 +55,7 @@ impl TraceRecord {
 }
 
 /// An in-memory trace plus a trailing run of compute instructions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemoryTrace {
     /// The interleaved compute/memory records.
     pub records: Vec<TraceRecord>,
@@ -176,7 +174,7 @@ impl MemoryTrace {
 }
 
 /// Summary statistics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of memory accesses.
     pub accesses: u64,

@@ -7,10 +7,8 @@
 //! point-to-point wires), and no reconfiguration is ever needed — the
 //! property the paper's case (A) fabric builds on.
 
-use serde::{Deserialize, Serialize};
-
 /// A single N x N AWGR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Awgr {
     /// Port count (and wavelength count).
     pub ports: u32,

@@ -17,7 +17,6 @@
 //! dense form is the canonical *state* representation.
 
 use crate::flowsim::Flow;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major demand matrix over `nodes x nodes` ordered MCM pairs,
 /// in Gbps.
@@ -40,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// let back = m.to_flows();
 /// assert_eq!(back, vec![Flow::new(0, 1, 150.0), Flow::new(2, 0, 25.0)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandMatrix {
     nodes: u32,
     /// Row-major demand: `demand[src * nodes + dst]` in Gbps.

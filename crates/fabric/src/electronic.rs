@@ -17,11 +17,10 @@
 //! for photonic disaggregation.
 
 use photonics::units::{Bandwidth, Latency};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The electronic switch technologies the paper considers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElectronicSwitchKind {
     /// Two-level tree of PCIe Gen5 switches (four hops end to end).
     PcieGen5Tree,
@@ -49,7 +48,7 @@ impl fmt::Display for ElectronicSwitchKind {
 }
 
 /// An electronic disaggregation fabric built from one of the switch kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectronicFabric {
     /// The switch technology.
     pub kind: ElectronicSwitchKind,
@@ -161,7 +160,7 @@ impl ElectronicFabric {
 }
 
 /// The two latency comparison points of Fig. 12.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyComparison {
     /// Photonic fabric's additional memory latency (ns).
     pub photonic_ns: f64,

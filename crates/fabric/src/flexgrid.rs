@@ -40,7 +40,6 @@
 
 use crate::flowsim::Flow;
 use crate::rackfabric::RackFabric;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How a contiguous free block is chosen among the candidates on a path.
@@ -49,7 +48,7 @@ use std::collections::HashMap;
 /// use fabric::flexgrid::AdmissionPolicy;
 /// assert_eq!(AdmissionPolicy::BestFit.label(), "bestfit");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Lowest-indexed block that fits.
     FirstFit,
@@ -77,7 +76,7 @@ impl AdmissionPolicy {
 /// use fabric::flexgrid::DefragPolicy;
 /// assert_eq!(DefragPolicy::OnBlock.label_suffix(), "+defrag");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefragPolicy {
     /// Keep surviving lightpaths in place; fragmentation accumulates.
     Never,
@@ -113,7 +112,7 @@ impl DefragPolicy {
 /// assert_eq!(SpectrumPolicy::parse("exactfit+repack"), Some(p));
 /// assert_eq!(SpectrumPolicy::default().label(), "firstfit");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpectrumPolicy {
     /// How free blocks are chosen.
     pub admission: AdmissionPolicy,
@@ -167,7 +166,7 @@ impl SpectrumPolicy {
 }
 
 /// One rung of the modulation ladder: spectral efficiency vs. reach.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModulationFormat {
     /// Human-readable format name.
     pub label: &'static str,
@@ -251,7 +250,7 @@ pub fn link_slot_budget(fabric: &RackFabric) -> u32 {
 /// assert_eq!(cfg.guard_slots, 1);
 /// assert_eq!(cfg.k_paths, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexGridConfig {
     /// Gbps carried per slot per bit of modulation (12.5 GHz grid ⇒ 12.5).
     pub slot_gbps: f64,
@@ -290,7 +289,7 @@ impl Default for FlexGridConfig {
 /// assert_eq!(lp.modulation.label, "16QAM");
 /// assert_eq!((lp.first_slot, lp.data_slots, lp.slot_count), (0, 4, 5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lightpath {
     /// Source MCM.
     pub src: u32,
@@ -516,7 +515,7 @@ trait SpectrumBoard {
 /// assert!(alloc.release(&a));
 /// assert_eq!(alloc.carried_gbps(), 200.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectrumAllocator {
     nodes: u32,
     slots: u32,
@@ -1007,7 +1006,7 @@ fn run_epoch<B: SpectrumBoard>(
 }
 
 /// Outcome of one flex-grid epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexEpochResult {
     /// Epoch index within the timeline.
     pub epoch: usize,
@@ -1070,7 +1069,7 @@ impl FlexEpochResult {
 }
 
 /// Aggregate outcome of a flex-grid timeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlexGridReport {
     /// Per-epoch results in order.
     pub epochs: Vec<FlexEpochResult>,

@@ -14,10 +14,9 @@ use crate::routing::OccupancyBoard;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One flow of the demand matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
     /// Source MCM.
     pub src: u32,
@@ -54,7 +53,7 @@ impl Flow {
 }
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSimConfig {
     /// One-way fabric latency for a direct hop, in nanoseconds (the paper's
     /// 35 ns photonic budget).
@@ -77,7 +76,7 @@ impl Default for FlowSimConfig {
 }
 
 /// Per-flow allocation result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowAllocation {
     /// The flow.
     pub flow: Flow,
@@ -112,7 +111,7 @@ impl FlowAllocation {
 }
 
 /// Aggregate report over all flows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSimReport {
     /// Per-flow allocations.
     pub allocations: Vec<FlowAllocation>,

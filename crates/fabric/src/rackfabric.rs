@@ -19,10 +19,9 @@
 
 use photonics::switch::SwitchConfig;
 use photonics::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Which fabric construction is instantiated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricKind {
     /// Case (A): six parallel cascaded AWGRs, distributed indirect routing,
     /// no reconfiguration.
@@ -52,7 +51,7 @@ impl FabricKind {
 }
 
 /// Configuration of the rack fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackFabricConfig {
     /// Number of MCMs in the rack.
     pub mcm_count: u32,
@@ -91,7 +90,7 @@ impl RackFabricConfig {
 
 /// Summary of the fabric's connectivity guarantees (what Fig. 5 and
 /// Section V-B assert).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricReport {
     /// Fabric kind.
     pub kind: FabricKind,

@@ -18,10 +18,9 @@
 use crate::rackfabric::RackFabric;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The decision the router makes for one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDecision {
     /// Use the direct wavelength(s) to the destination.
     Direct,
@@ -155,7 +154,7 @@ impl OccupancyBoard {
 }
 
 /// Statistics accumulated by the router.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoutingStats {
     /// Flows routed directly.
     pub direct: u64,

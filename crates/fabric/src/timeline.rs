@@ -29,10 +29,9 @@ use std::collections::HashMap;
 
 use crate::flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimulator};
 use crate::rackfabric::RackFabric;
-use serde::{Deserialize, Serialize};
 
 /// When (and whether) the fabric recomputes its wavelength assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReallocationPolicy {
     /// Assign wavelengths for the first epoch's demand, then never move
     /// them.
@@ -63,7 +62,7 @@ impl ReallocationPolicy {
 }
 
 /// Configuration of one timeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineConfig {
     /// Flow-level allocator parameters (latencies and the steering seed).
     pub flow: FlowSimConfig,
@@ -81,7 +80,7 @@ impl Default for TimelineConfig {
 }
 
 /// One epoch's delivered service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochResult {
     /// Epoch index.
     pub epoch: usize,
@@ -126,7 +125,7 @@ impl EpochResult {
 }
 
 /// Aggregate service over a whole timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineReport {
     /// Per-epoch results, in temporal order.
     pub epochs: Vec<EpochResult>,

@@ -8,10 +8,8 @@
 //! sequence of kernels plus identifying metadata (the paper's 24 GPU
 //! applications contain 1525 kernels in total).
 
-use serde::{Deserialize, Serialize};
-
 /// Analytical profile of one GPU kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Kernel name (for reporting).
     pub name: String,
@@ -88,7 +86,7 @@ impl KernelProfile {
 }
 
 /// A GPU application: a named sequence of kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationProfile {
     /// Application name (e.g. "backprop", "2mm", "AlexNet").
     pub name: String,

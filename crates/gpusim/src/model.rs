@@ -19,10 +19,9 @@
 
 use crate::config::GpuConfig;
 use crate::kernel::{ApplicationProfile, KernelProfile};
-use serde::{Deserialize, Serialize};
 
 /// Timing result for one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTiming {
     /// Kernel name.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct KernelTiming {
 }
 
 /// Timing result for a whole application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSimResult {
     /// Application name.
     pub name: String,

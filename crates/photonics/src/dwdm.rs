@@ -17,7 +17,6 @@
 
 use crate::fec::FecConfig;
 use crate::units::{Bandwidth, Energy, Latency};
-use serde::{Deserialize, Serialize};
 
 /// Propagation delay of light in fiber, per meter (index of refraction ~1.5
 /// so light travels at roughly 0.75 c: ~5 ns per meter).
@@ -29,7 +28,7 @@ pub const FIBER_NS_PER_METER: f64 = 5.0;
 pub const DEFAULT_OEO_NS: f64 = 15.0;
 
 /// Breakdown of the one-way latency through a DWDM link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkLatencyBreakdown {
     /// Electrical-optical-electrical conversion (both ends combined).
     pub oeo: Latency,
@@ -53,7 +52,7 @@ impl LinkLatencyBreakdown {
 /// The link aggregates `channels` wavelengths of `channel_rate` each, shares
 /// a single fiber, and is driven by a comb-laser source providing all
 /// wavelengths (Fig. 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DwdmLink {
     /// Number of wavelength channels on the fiber.
     pub channels: u32,

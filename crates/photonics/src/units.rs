@@ -5,13 +5,12 @@
 //! matters when comparing the 25 Gbps wavelength rate against the
 //! 1555.2 GB/s HBM bandwidth of an A100).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A bandwidth value, stored internally as bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -160,7 +159,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// An energy-per-bit or absolute energy value, stored in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -220,7 +219,7 @@ impl fmt::Display for Energy {
 }
 
 /// A latency value, stored in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Latency(f64);
 
 impl Latency {
@@ -314,7 +313,7 @@ impl fmt::Display for Latency {
 
 /// Optical power or loss in decibels (positive = loss for insertion loss,
 /// negative values are used for crosstalk suppression figures).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct OpticalPowerDb(f64);
 
 impl OpticalPowerDb {

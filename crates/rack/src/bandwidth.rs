@@ -13,11 +13,10 @@
 //!    of NVLink-style GPU-to-GPU traffic per MCM and still have spare.
 
 use photonics::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use workloads::production::ProductionDistributions;
 
 /// Sufficiency probabilities for the CPU/NIC/DDR4 traffic classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthSufficiency {
     /// Probability that a node's CPU-to-memory demand fits in the direct
     /// 125 Gbps MCM-to-MCM bandwidth.
@@ -56,7 +55,7 @@ impl BandwidthSufficiency {
 }
 
 /// The GPU bandwidth budget accounting of Section VI-A1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuBandwidthBudget {
     /// Total bandwidth a GPU can use towards HBM MCMs with indirect routing
     /// (GB/s).

@@ -7,11 +7,10 @@
 //! not restrict chip escape bandwidth").
 
 use photonics::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The chip types of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChipKind {
     /// AMD Milan-class CPU.
     Cpu,
@@ -50,7 +49,7 @@ impl fmt::Display for ChipKind {
 }
 
 /// Specification of one chip type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSpec {
     /// Which chip this is.
     pub kind: ChipKind,

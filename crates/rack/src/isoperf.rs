@@ -13,10 +13,9 @@
 
 use crate::chips::ChipKind;
 use crate::node::BaselineRack;
-use serde::{Deserialize, Serialize};
 
 /// Inputs to the iso-performance analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsoPerformanceInputs {
     /// Average CPU slowdown from the added latency (fraction, e.g. 0.15 for
     /// the in-order average of Fig. 6).
@@ -44,7 +43,7 @@ impl IsoPerformanceInputs {
 }
 
 /// Per-chip-type resource counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceCounts {
     /// CPUs.
     pub cpus: u32,
@@ -80,7 +79,7 @@ impl ResourceCounts {
 }
 
 /// The iso-performance analysis and its derived quantities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsoPerformanceAnalysis {
     /// Analysis inputs.
     pub inputs: IsoPerformanceInputs,

@@ -9,11 +9,10 @@
 use crate::chips::{ChipKind, ChipSpec};
 use crate::node::BaselineRack;
 use photonics::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Packing of one chip type into MCMs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McmPacking {
     /// Chip type.
     pub kind: ChipKind,
@@ -67,7 +66,7 @@ impl fmt::Display for McmPacking {
 }
 
 /// The full disaggregated rack composition: one packing per chip type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackComposition {
     /// Escape bandwidth of each MCM.
     pub mcm_escape: Bandwidth,

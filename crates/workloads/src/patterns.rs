@@ -10,10 +10,9 @@
 use cpusim::MemoryTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The access-pattern families used to synthesize benchmark traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Sequential streaming over the working set (unit-stride reads with a
     /// configurable write share): STREAM, blackscholes, swaptions.
@@ -41,7 +40,7 @@ pub enum AccessPattern {
 }
 
 /// Parameters shared by all pattern generators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternParams {
     /// Working-set size in bytes.
     pub working_set_bytes: u64,

@@ -21,10 +21,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A sampled per-node utilization snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeUtilization {
     /// Fraction of node memory capacity in use (0..=1).
     pub memory_capacity_fraction: f64,
@@ -37,7 +36,7 @@ pub struct NodeUtilization {
 }
 
 /// Summary of many [`NodeUtilization`] samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationSample {
     /// Number of samples drawn.
     pub samples: usize,
@@ -55,7 +54,7 @@ pub struct UtilizationSample {
 
 /// Log-normal samplers calibrated to the published Cori utilization
 /// quantiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductionDistributions {
     /// Median of the memory-capacity-fraction distribution.
     pub memory_capacity_median: f64,

@@ -12,13 +12,12 @@ use fabric::{DemandMatrix, Flow};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A demand-matrix family, parameterized by per-flow demand in Gbps.
 ///
 /// Each variant expands to a concrete list of [`Flow`]s for a rack of
 /// `mcm_count` MCMs via [`TrafficPattern::flows`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Every MCM sends `flows_per_mcm` flows to uniformly-random distinct
     /// destinations (the paper's random-pairs bandwidth stress).
@@ -68,7 +67,7 @@ pub enum TrafficPattern {
 /// `[0, 1]`. Scenarios whose matrices agree on these five numbers stress a
 /// fabric near-identically, which is exactly the similarity the sampler's
 /// k-means clustering needs to measure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandSignature {
     /// Total offered load in Gbps.
     pub total_gbps: f64,

@@ -140,7 +140,7 @@ fn fabric_serves_rack_scale_demand() {
 fn results_serialize_round_trip() {
     let analysis = RackAnalysis::paper();
     let json = analysis.to_json();
-    let value = serde::json::parse(&json).unwrap();
+    let value = photonic_disagg::core::codec::json::parse(&json).unwrap();
     let packings = value
         .get("table_iii")
         .and_then(|t| t.get("packings"))
@@ -151,7 +151,7 @@ fn results_serialize_round_trip() {
     let gpu = run_gpu_experiment(&GpuExperimentConfig::default());
     let json = gpu_results_to_json(&gpu);
     assert!(json.contains("alexnet"));
-    let parsed = serde::json::parse(&json).unwrap();
+    let parsed = photonic_disagg::core::codec::json::parse(&json).unwrap();
     assert_eq!(parsed.as_array().map(<[_]>::len), Some(gpu.len()));
 
     // The rack summary round-trips into an equal struct and re-emits
