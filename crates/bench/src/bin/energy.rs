@@ -30,11 +30,12 @@
 
 use std::process::exit;
 
+use bench::cli::{parse_list, parse_list_with, parse_scalar};
 use disagg_core::energy::{EnergyConfig, EnergyMode};
 use disagg_core::report::format_sweep_report;
 use disagg_core::sweep::{artifacts, configure_threads, SweepGrid};
 use fabric::{FabricKind, ReallocationPolicy};
-use workloads::{DemandTimeline, TrafficPattern};
+use workloads::DemandTimeline;
 
 fn usage() -> ! {
     eprintln!(
@@ -42,116 +43,9 @@ fn usage() -> ! {
          \x20             [--policy static|greedy|hystX,..] [--mode always|util,..]\n\
          \x20             [--demand GBPS] [--epochs N] [--epoch-seconds S]\n\
          \x20             [--reconfig-joules J] [--seed N] [--threads N] [--json] [--smoke]\n\
-         schedules: shifthotN | hpcmix | steady"
+         schedules: shifthotN | hpcmix | steady | churn"
     );
     exit(2);
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                eprintln!("energy: invalid value {v:?} for {flag}");
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_scalar<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    if value.contains(',') {
-        eprintln!("energy: {flag} takes a single value, got list {value:?}");
-        exit(2);
-    }
-    value.trim().parse().unwrap_or_else(|_| {
-        eprintln!("energy: invalid value {value:?} for {flag}");
-        exit(2);
-    })
-}
-
-fn parse_fabric(value: &str) -> Vec<FabricKind> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "awgr" => FabricKind::ParallelAwgrs,
-            "wave" => FabricKind::WaveSelective,
-            "spatial" => FabricKind::Spatial,
-            other => {
-                eprintln!("energy: unknown fabric {other:?} (awgr|wave|spatial)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_policies(value: &str) -> Vec<ReallocationPolicy> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            match v {
-                "static" => ReallocationPolicy::Static,
-                "greedy" => ReallocationPolicy::GreedyResteer,
-                _ => {
-                    let threshold = v
-                        .strip_prefix("hyst")
-                        .and_then(|t| t.parse::<f64>().ok())
-                        .filter(|t| (0.0..=1.0).contains(t));
-                    match threshold {
-                        Some(min_satisfaction) => {
-                            ReallocationPolicy::Hysteresis { min_satisfaction }
-                        }
-                        None => {
-                            eprintln!(
-                                "energy: unknown policy {v:?} (static|greedy|hystX, 0<=X<=1)"
-                            );
-                            exit(2);
-                        }
-                    }
-                }
-            }
-        })
-        .collect()
-}
-
-fn parse_modes(value: &str) -> Vec<EnergyMode> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "always" | "always-on" => EnergyMode::AlwaysOn,
-            "util" | "utilization" => EnergyMode::UtilizationScaled,
-            other => {
-                eprintln!("energy: unknown mode {other:?} (always|util)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_schedules(value: &str, demand_gbps: f64, epochs_per_phase: u32) -> Vec<DemandTimeline> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            if let Some(hot) = v
-                .strip_prefix("shifthot")
-                .and_then(|n| n.parse::<u32>().ok())
-            {
-                DemandTimeline::shifting_hotspot(hot, demand_gbps, 4, epochs_per_phase, 5)
-            } else if v == "hpcmix" {
-                DemandTimeline::hpc_mix(demand_gbps, epochs_per_phase)
-            } else if v == "steady" {
-                DemandTimeline::steady(
-                    TrafficPattern::Permutation { demand_gbps },
-                    epochs_per_phase * 4,
-                )
-            } else {
-                eprintln!("energy: unknown schedule {v:?} (shifthotN|hpcmix|steady)");
-                exit(2);
-            }
-        })
-        .collect()
 }
 
 /// The Section VI-C headline grid: the paper design point under both
@@ -192,7 +86,7 @@ fn main() {
             }
             "--fabric" => {
                 let v = take();
-                grid = grid.fabric_kinds(parse_fabric(&v));
+                grid = grid.fabric_kinds(parse_list_with(flag, &v, FabricKind::parse));
             }
             "--schedule" => schedules = take(),
             "--policy" => policies = take(),
@@ -232,12 +126,18 @@ fn main() {
         return;
     }
 
-    let headline = headline_grid(config).run();
     let grid = grid
-        .timelines(parse_schedules(&schedules, demand, epochs_per_phase))
-        .realloc_policies(parse_policies(&policies))
-        .energy_modes(parse_modes(&modes))
+        .timelines(parse_list_with("--schedule", &schedules, |v| {
+            DemandTimeline::parse_schedule(v, demand, epochs_per_phase)
+        }))
+        .realloc_policies(parse_list_with(
+            "--policy",
+            &policies,
+            ReallocationPolicy::parse,
+        ))
+        .energy_modes(parse_list_with("--mode", &modes, EnergyMode::parse))
         .energy_config(config);
+    let headline = headline_grid(config).run();
     let tradeoff = grid.run();
 
     if json {

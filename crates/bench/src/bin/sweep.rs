@@ -59,6 +59,7 @@
 use std::process::exit;
 use std::time::Instant;
 
+use bench::cli::{fail, parse_list, parse_list_with, parse_scalar};
 use disagg_core::energy::EnergyMode;
 use disagg_core::report::format_sweep_report;
 use disagg_core::sample::{reference_grid, SampleConfig};
@@ -78,95 +79,6 @@ fn usage() -> ! {
          patterns: uniformN | permutation | hotspotN | neighborN | alltoall"
     );
     exit(2);
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                eprintln!("sweep: invalid value {v:?} for {flag}");
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-/// For flags that take exactly one value: reject comma lists instead of
-/// silently using the first element.
-fn parse_scalar<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    if value.contains(',') {
-        eprintln!("sweep: {flag} takes a single value, got list {value:?}");
-        exit(2);
-    }
-    value.trim().parse().unwrap_or_else(|_| {
-        eprintln!("sweep: invalid value {value:?} for {flag}");
-        exit(2);
-    })
-}
-
-fn parse_fabric(value: &str) -> Vec<FabricKind> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "awgr" => FabricKind::ParallelAwgrs,
-            "wave" => FabricKind::WaveSelective,
-            "spatial" => FabricKind::Spatial,
-            other => {
-                eprintln!("sweep: unknown fabric {other:?} (awgr|wave|spatial)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_patterns(value: &str, demand_gbps: f64) -> Vec<TrafficPattern> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            let numbered = |prefix: &str| -> Option<u32> {
-                v.strip_prefix(prefix).and_then(|n| n.parse().ok())
-            };
-            if v == "permutation" {
-                TrafficPattern::Permutation { demand_gbps }
-            } else if v == "alltoall" {
-                TrafficPattern::AllToAll { demand_gbps }
-            } else if let Some(n) = numbered("uniform") {
-                TrafficPattern::Uniform {
-                    flows_per_mcm: n,
-                    demand_gbps,
-                }
-            } else if let Some(n) = numbered("hotspot") {
-                TrafficPattern::HotSpot {
-                    hot_mcms: n,
-                    demand_gbps,
-                }
-            } else if let Some(n) = numbered("neighbor") {
-                TrafficPattern::NearestNeighbor {
-                    neighbors: n,
-                    demand_gbps,
-                }
-            } else {
-                eprintln!("sweep: unknown pattern {v:?}");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_energy(value: &str) -> Vec<EnergyMode> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "always" | "always-on" => EnergyMode::AlwaysOn,
-            "util" | "utilization" => EnergyMode::UtilizationScaled,
-            other => {
-                eprintln!("sweep: unknown energy mode {other:?} (always|util)");
-                exit(2);
-            }
-        })
-        .collect()
 }
 
 /// Time the reference grid at 1 thread vs the *effective* thread count
@@ -451,11 +363,11 @@ fn main() {
             "--fibers" => grid.fibers_per_mcm = parse_list(flag, value),
             "--wavelengths" => grid.wavelengths_per_fiber = parse_list(flag, value),
             "--gbps" => grid.gbps_per_wavelength = parse_list(flag, value),
-            "--fabric" => grid.fabric_kinds = parse_fabric(value),
+            "--fabric" => grid.fabric_kinds = parse_list_with(flag, value, FabricKind::parse),
             "--pattern" => pattern_spec = Some(value.clone()),
             "--demand" => demand_gbps = parse_scalar::<f64>(flag, value),
             "--latency" => grid.direct_latencies_ns = parse_list(flag, value),
-            "--energy" => grid.energy_modes = parse_energy(value),
+            "--energy" => grid.energy_modes = parse_list_with(flag, value, EnergyMode::parse),
             "--replicates" => grid.replicates = parse_scalar::<u32>(flag, value).max(1),
             "--seed" => grid.base_seed = parse_scalar::<u64>(flag, value),
             "--threads" => threads = Some(parse_scalar::<usize>(flag, value).max(1)),
@@ -475,12 +387,10 @@ fn main() {
     if sample_clusters.is_some()
         && (row_cap.is_some() || shard_rows.is_some() || bench_path.is_some())
     {
-        eprintln!("sweep: --sample conflicts with --row-cap/--shard-rows/--bench");
-        exit(2);
+        fail("--sample conflicts with --row-cap/--shard-rows/--bench");
     }
     if sample_report && sample_clusters.is_none() {
-        eprintln!("sweep: --sample-report requires --sample K");
-        exit(2);
+        fail("--sample-report requires --sample K");
     }
     if let Some(path) = bench_reuse_path {
         run_bench_reuse(&path, threads);
@@ -495,7 +405,9 @@ fn main() {
         return;
     }
     if let Some(spec) = pattern_spec {
-        grid.patterns = parse_patterns(&spec, demand_gbps);
+        grid.patterns = parse_list_with("--pattern", &spec, |v| {
+            TrafficPattern::parse(v, demand_gbps)
+        });
     } else {
         grid.patterns = vec![TrafficPattern::Uniform {
             flows_per_mcm: 4,

@@ -1,10 +1,11 @@
 //! # bench
 //!
 //! The paper-artifact harness: one binary per table/figure of the paper's
-//! evaluation plus Criterion benches over the underlying models. The
-//! library itself is intentionally empty — each artifact is a standalone
-//! binary in `src/bin/` so that `cargo run --bin <artifact>` regenerates
-//! exactly one paper result.
+//! evaluation plus Criterion benches over the underlying models. Each
+//! artifact is a standalone binary in `src/bin/` so that
+//! `cargo run --bin <artifact>` regenerates exactly one paper result; the
+//! library holds only [`cli`], the flag-value parsing the grid binaries
+//! share.
 //!
 //! | binary | paper artifact | engine route |
 //! |---|---|---|
@@ -24,6 +25,7 @@
 //! | `sweep` | user-defined scenario grids | [`disagg_core::sweep::SweepGrid`] |
 //! | `timeline` | temporal steering sweeps | [`disagg_core::sweep::SweepGrid::timelines`] |
 //! | `energy` | energy-aware sweeps + policy tradeoff | [`disagg_core::energy`] |
+//! | `flexgrid` | flex-grid spectrum-policy sweeps | [`disagg_core::sweep::SweepGrid::spectrum_policies`] |
 //!
 //! Binaries with an `artifacts` route run through the `core::sweep` engine
 //! and accept `--json` to emit the unified
@@ -33,3 +35,58 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli {
+    //! Flag-value parsing for the grid binaries (`sweep`, `timeline`,
+    //! `energy`, `flexgrid`). Axis values go through the axis type's own
+    //! `parse` (for example [`fabric::FabricKind::parse`]), the same one the
+    //! JSON grid decoder uses, so a spelling means the same thing on the
+    //! command line and in a job file. Any bad value is a usage error:
+    //! one line on stderr, nothing on stdout, exit status 2.
+
+    use std::process::exit;
+    use std::str::FromStr;
+
+    /// Print `<binary>: <message>` to stderr and exit with status 2.
+    pub fn fail(message: &str) -> ! {
+        let argv0 = std::env::args().next().unwrap_or_default();
+        let binary = std::path::Path::new(&argv0)
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or("bench");
+        eprintln!("{binary}: {message}");
+        exit(2);
+    }
+
+    /// Parse a comma-separated list, each trimmed element through `parse`.
+    pub fn parse_list_with<T>(
+        flag: &str,
+        value: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Vec<T> {
+        value
+            .split(',')
+            .map(|v| {
+                let v = v.trim();
+                parse(v).unwrap_or_else(|| fail(&format!("invalid value {v:?} for {flag}")))
+            })
+            .collect()
+    }
+
+    /// Parse a comma-separated list of numbers (or any [`FromStr`] type).
+    pub fn parse_list<T: FromStr>(flag: &str, value: &str) -> Vec<T> {
+        parse_list_with(flag, value, |v| v.parse().ok())
+    }
+
+    /// Parse the value of a flag that takes exactly one value: a comma list
+    /// is rejected instead of silently using its first element.
+    pub fn parse_scalar<T: FromStr>(flag: &str, value: &str) -> T {
+        if value.contains(',') {
+            fail(&format!("{flag} takes a single value, got list {value:?}"));
+        }
+        value
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("invalid value {value:?} for {flag}")))
+    }
+}

@@ -64,19 +64,21 @@ impl EnergyMode {
         }
     }
 
-    /// Parse a label produced by [`EnergyMode::label`]; `None` for anything
-    /// else.
+    /// Parse a label produced by [`EnergyMode::label`] or its alias
+    /// (`always`, `utilization`); `None` for anything else.
     ///
     /// ```
     /// use disagg_core::energy::EnergyMode;
     /// assert_eq!(EnergyMode::parse("util"), Some(EnergyMode::UtilizationScaled));
+    /// assert_eq!(EnergyMode::parse("utilization"), Some(EnergyMode::UtilizationScaled));
     /// assert_eq!(EnergyMode::parse("always-on"), Some(EnergyMode::AlwaysOn));
+    /// assert_eq!(EnergyMode::parse("always"), Some(EnergyMode::AlwaysOn));
     /// assert_eq!(EnergyMode::parse("solar"), None);
     /// ```
     pub fn parse(text: &str) -> Option<Self> {
         match text {
-            "always-on" => Some(EnergyMode::AlwaysOn),
-            "util" => Some(EnergyMode::UtilizationScaled),
+            "always" | "always-on" => Some(EnergyMode::AlwaysOn),
+            "util" | "utilization" => Some(EnergyMode::UtilizationScaled),
             _ => None,
         }
     }
@@ -481,6 +483,21 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use fabric::{FabricKind, Flow, FlowSimConfig, FlowSimulator, RackFabric};
+
+    #[test]
+    fn mode_labels_and_aliases_parse_back() {
+        for mode in [EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled] {
+            assert_eq!(EnergyMode::parse(mode.label()), Some(mode));
+        }
+        assert_eq!(EnergyMode::parse("always"), Some(EnergyMode::AlwaysOn));
+        assert_eq!(
+            EnergyMode::parse("utilization"),
+            Some(EnergyMode::UtilizationScaled)
+        );
+        for bad in ["solar", "Always", "util ", ""] {
+            assert_eq!(EnergyMode::parse(bad), None, "{bad:?}");
+        }
+    }
 
     fn paper_model(mode: EnergyMode) -> EnergyModel {
         let fabric = RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs);

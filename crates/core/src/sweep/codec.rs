@@ -21,7 +21,6 @@ use crate::codec::json::Value;
 use crate::codec::{self, json_number, json_string, DecodeError};
 use crate::energy::{EnergyConfig, EnergyMode};
 use crate::sweep::grid::SweepGrid;
-use crate::sweep::scenario::fabric_kind_label;
 
 impl SweepGrid {
     /// Serialize the grid to a single-line JSON string: every axis, in
@@ -46,7 +45,7 @@ impl SweepGrid {
             if i > 0 {
                 out.push(',');
             }
-            json_string(&mut out, fabric_kind_label(kind));
+            json_string(&mut out, kind.label());
         }
         out.push_str("],");
         write_u32_axis(&mut out, "mcm_counts", &self.mcm_counts);
@@ -170,12 +169,11 @@ impl SweepGrid {
             match key.as_str() {
                 "name" => grid.name = codec::as_str(value, &ctx)?.to_string(),
                 "fabric_kinds" => {
-                    grid.fabric_kinds = decode_each(value, &ctx, |v, c| {
-                        let label = codec::as_str(v, c)?;
-                        parse_fabric_kind(label).ok_or_else(|| {
-                            format!("{c}: unknown fabric kind {label:?} (awgr|wave|spatial)")
-                        })
-                    })?
+                    grid.fabric_kinds = decode_each(
+                        value,
+                        &ctx,
+                        label_decoder("fabric kind", "awgr|wave|spatial", FabricKind::parse),
+                    )?
                 }
                 "mcm_counts" => grid.mcm_counts = decode_each(value, &ctx, codec::as_u32)?,
                 "fibers_per_mcm" => grid.fibers_per_mcm = decode_each(value, &ctx, codec::as_u32)?,
@@ -189,29 +187,36 @@ impl SweepGrid {
                 "patterns" => grid.patterns = decode_each(value, &ctx, decode_pattern)?,
                 "timelines" => grid.timelines = decode_each(value, &ctx, decode_timeline)?,
                 "realloc_policies" => {
-                    grid.realloc_policies = decode_each(value, &ctx, |v, c| {
-                        let label = codec::as_str(v, c)?;
-                        parse_realloc_policy(label).ok_or_else(|| {
-                            format!("{c}: unknown policy {label:?} (static|greedy|hystX)")
-                        })
-                    })?
+                    grid.realloc_policies = decode_each(
+                        value,
+                        &ctx,
+                        label_decoder(
+                            "policy",
+                            "static|greedy|hystX with 0<=X<=1",
+                            ReallocationPolicy::parse,
+                        ),
+                    )?
                 }
                 "spectrum_policies" => {
-                    grid.spectrum_policies = decode_each(value, &ctx, |v, c| {
-                        let label = codec::as_str(v, c)?;
-                        SpectrumPolicy::parse(label)
-                            .ok_or_else(|| format!("{c}: unknown spectrum policy {label:?}"))
-                    })?
+                    grid.spectrum_policies = decode_each(
+                        value,
+                        &ctx,
+                        label_decoder(
+                            "spectrum policy",
+                            "firstfit|bestfit|exactfit[+defrag|+repack]",
+                            SpectrumPolicy::parse,
+                        ),
+                    )?
                 }
                 "direct_latencies_ns" => {
                     grid.direct_latencies_ns = decode_each(value, &ctx, codec::as_f64)?
                 }
                 "energy_modes" => {
-                    grid.energy_modes = decode_each(value, &ctx, |v, c| {
-                        let label = codec::as_str(v, c)?;
-                        EnergyMode::parse(label)
-                            .ok_or_else(|| format!("{c}: unknown energy mode {label:?}"))
-                    })?
+                    grid.energy_modes = decode_each(
+                        value,
+                        &ctx,
+                        label_decoder("energy mode", "always|util", EnergyMode::parse),
+                    )?
                 }
                 "energy_config" => grid.energy_config = decode_energy_config(value, &ctx)?,
                 "replicates" => grid.replicates = codec::as_u32(value, &ctx)?.max(1),
@@ -331,23 +336,16 @@ fn write_timeline(out: &mut String, timeline: &DemandTimeline) {
     out.push_str("]}");
 }
 
-pub(crate) fn parse_fabric_kind(label: &str) -> Option<FabricKind> {
-    match label {
-        "awgr" => Some(FabricKind::ParallelAwgrs),
-        "wave" => Some(FabricKind::WaveSelective),
-        "spatial" => Some(FabricKind::Spatial),
-        _ => None,
-    }
-}
-
-fn parse_realloc_policy(label: &str) -> Option<ReallocationPolicy> {
-    match label {
-        "static" => Some(ReallocationPolicy::Static),
-        "greedy" => Some(ReallocationPolicy::GreedyResteer),
-        _ => {
-            let min_satisfaction = label.strip_prefix("hyst")?.parse().ok()?;
-            Some(ReallocationPolicy::Hysteresis { min_satisfaction })
-        }
+/// Decode one string-labelled axis value through the axis type's own
+/// `parse`, so a job file takes exactly the spellings the CLIs take.
+fn label_decoder<T>(
+    what: &'static str,
+    spellings: &'static str,
+    parse: fn(&str) -> Option<T>,
+) -> impl Fn(&Value, &str) -> Result<T, DecodeError> {
+    move |v, c| {
+        let label = codec::as_str(v, c)?;
+        parse(label).ok_or_else(|| format!("{c}: unknown {what} {label:?} ({spellings})"))
     }
 }
 
@@ -522,6 +520,12 @@ mod tests {
             SweepGrid::from_json(r#"{"patterns":[{"kind":"spiral","demand_gbps":1}]}"#).is_err()
         );
         assert!(SweepGrid::from_json(r#"{"realloc_policies":["hystx"]}"#).is_err());
+        // Hysteresis thresholds outside [0, 1], NaN and infinities included.
+        for bad in ["hyst7", "hyst-1", "hystnan", "hystinf"] {
+            let err =
+                SweepGrid::from_json(&format!(r#"{{"realloc_policies":["{bad}"]}}"#)).unwrap_err();
+            assert!(err.contains(bad) && !err.contains('\n'), "{err}");
+        }
         assert!(SweepGrid::from_json("[]").is_err());
     }
 
@@ -538,6 +542,18 @@ mod tests {
         assert_eq!(parsed.spectrum_policies[1].label(), "bestfit+defrag");
         // Seeds above 2^53 survive the raw-text number model.
         assert_eq!(parsed.base_seed, u64::MAX - 7);
+    }
+
+    #[test]
+    fn energy_mode_aliases_share_the_canonical_cache_key() {
+        let canonical = SweepGrid::from_json(r#"{"energy_modes":["always-on","util"]}"#).unwrap();
+        let aliased = SweepGrid::from_json(r#"{"energy_modes":["always","utilization"]}"#).unwrap();
+        assert_eq!(aliased, canonical);
+        assert_eq!(aliased.to_json(), canonical.to_json());
+        assert!(aliased
+            .to_json()
+            .contains(r#""energy_modes":["always-on","util"]"#));
+        assert_eq!(aliased.grid_hash(), canonical.grid_hash());
     }
 
     #[test]

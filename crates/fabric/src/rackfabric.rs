@@ -48,6 +48,32 @@ impl FabricKind {
     pub fn needs_scheduler(self) -> bool {
         self.switch_config().needs_scheduler()
     }
+
+    /// Short stable label for report rows, JSON grids and CLI parsing.
+    pub fn label(self) -> &'static str {
+        match self {
+            FabricKind::ParallelAwgrs => "awgr",
+            FabricKind::WaveSelective => "wave",
+            FabricKind::Spatial => "spatial",
+        }
+    }
+
+    /// Parse a label produced by [`FabricKind::label`]; `None` for anything
+    /// else.
+    ///
+    /// ```
+    /// use fabric::FabricKind;
+    /// assert_eq!(FabricKind::parse("wave"), Some(FabricKind::WaveSelective));
+    /// assert_eq!(FabricKind::parse("mesh"), None);
+    /// ```
+    pub fn parse(text: &str) -> Option<Self> {
+        match text {
+            "awgr" => Some(FabricKind::ParallelAwgrs),
+            "wave" => Some(FabricKind::WaveSelective),
+            "spatial" => Some(FabricKind::Spatial),
+            _ => None,
+        }
+    }
 }
 
 /// Configuration of the rack fabric.
@@ -310,6 +336,21 @@ impl RackFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fabric_kind_labels_parse_back() {
+        for (kind, label) in [
+            (FabricKind::ParallelAwgrs, "awgr"),
+            (FabricKind::WaveSelective, "wave"),
+            (FabricKind::Spatial, "spatial"),
+        ] {
+            assert_eq!(kind.label(), label);
+            assert_eq!(FabricKind::parse(kind.label()), Some(kind), "{label}");
+        }
+        for bad in ["mesh", "AWGR", " awgr", ""] {
+            assert_eq!(FabricKind::parse(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn paper_awgr_fabric_has_six_planes() {

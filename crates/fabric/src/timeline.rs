@@ -59,6 +59,33 @@ impl ReallocationPolicy {
             }
         }
     }
+
+    /// Parse a label produced by [`ReallocationPolicy::label`]: `static`,
+    /// `greedy`, or `hystX` with a threshold `X` in `[0, 1]`. `None` for
+    /// anything else, including a non-finite or out-of-range threshold.
+    ///
+    /// ```
+    /// use fabric::ReallocationPolicy;
+    /// assert_eq!(
+    ///     ReallocationPolicy::parse("hyst0.9"),
+    ///     Some(ReallocationPolicy::Hysteresis { min_satisfaction: 0.9 })
+    /// );
+    /// assert_eq!(ReallocationPolicy::parse("hyst7"), None);
+    /// assert_eq!(ReallocationPolicy::parse("hystnan"), None);
+    /// ```
+    pub fn parse(text: &str) -> Option<Self> {
+        match text {
+            "static" => Some(ReallocationPolicy::Static),
+            "greedy" => Some(ReallocationPolicy::GreedyResteer),
+            _ => {
+                let min_satisfaction: f64 = text.strip_prefix("hyst")?.parse().ok()?;
+                // The range check also rejects NaN and the infinities.
+                (0.0..=1.0)
+                    .contains(&min_satisfaction)
+                    .then_some(ReallocationPolicy::Hysteresis { min_satisfaction })
+            }
+        }
+    }
 }
 
 /// Configuration of one timeline run.
@@ -1123,14 +1150,35 @@ mod tests {
 
     #[test]
     fn policy_labels_are_stable() {
-        assert_eq!(ReallocationPolicy::Static.label(), "static");
-        assert_eq!(ReallocationPolicy::GreedyResteer.label(), "greedy");
-        assert_eq!(
-            ReallocationPolicy::Hysteresis {
-                min_satisfaction: 0.9
-            }
-            .label(),
-            "hyst0.9"
-        );
+        for (label, policy) in [
+            ("static", ReallocationPolicy::Static),
+            ("greedy", ReallocationPolicy::GreedyResteer),
+            (
+                "hyst0",
+                ReallocationPolicy::Hysteresis {
+                    min_satisfaction: 0.0,
+                },
+            ),
+            (
+                "hyst0.9",
+                ReallocationPolicy::Hysteresis {
+                    min_satisfaction: 0.9,
+                },
+            ),
+            (
+                "hyst1",
+                ReallocationPolicy::Hysteresis {
+                    min_satisfaction: 1.0,
+                },
+            ),
+        ] {
+            assert_eq!(policy.label(), label);
+            assert_eq!(ReallocationPolicy::parse(&policy.label()), Some(policy));
+        }
+        for bad in [
+            "hyst7", "hyst-1", "hyst1.01", "hystnan", "hystinf", "hyst", "hystx", "always",
+        ] {
+            assert_eq!(ReallocationPolicy::parse(bad), None, "{bad}");
+        }
     }
 }

@@ -357,6 +357,39 @@ impl DemandTimeline {
         out
     }
 
+    /// Parse a canned schedule name into its timeline at `demand_gbps` per
+    /// flow and `epochs_per_phase` epochs per phase; `None` for anything
+    /// else. The names are the schedule vocabulary of the sweep CLIs:
+    ///
+    /// * `shifthotN` — [`shifting_hotspot`](Self::shifting_hotspot) with N
+    ///   hot MCMs over four phases, rotating by a stride of 5 MCMs (coprime
+    ///   with the default rack sizes, so successive hot sets never land on
+    ///   each other);
+    /// * `hpcmix` — [`hpc_mix`](Self::hpc_mix);
+    /// * `steady` — a four-phase-long [`steady`](Self::steady) permutation;
+    /// * `churn` — [`elastic_churn`](Self::elastic_churn).
+    ///
+    /// ```
+    /// use workloads::DemandTimeline;
+    /// let tl = DemandTimeline::parse_schedule("shifthot4", 400.0, 3).unwrap();
+    /// assert_eq!(tl, DemandTimeline::shifting_hotspot(4, 400.0, 4, 3, 5));
+    /// assert_eq!(DemandTimeline::parse_schedule("bursty", 400.0, 3), None);
+    /// ```
+    pub fn parse_schedule(label: &str, demand_gbps: f64, epochs_per_phase: u32) -> Option<Self> {
+        Some(match label {
+            "hpcmix" => DemandTimeline::hpc_mix(demand_gbps, epochs_per_phase),
+            "churn" => DemandTimeline::elastic_churn(demand_gbps, epochs_per_phase),
+            "steady" => DemandTimeline::steady(
+                TrafficPattern::Permutation { demand_gbps },
+                epochs_per_phase * 4,
+            ),
+            _ => {
+                let hot_mcms = label.strip_prefix("shifthot")?.parse().ok()?;
+                DemandTimeline::shifting_hotspot(hot_mcms, demand_gbps, 4, epochs_per_phase, 5)
+            }
+        })
+    }
+
     /// A single-phase steady timeline (the temporal embedding of a static
     /// sweep scenario).
     pub fn steady(pattern: TrafficPattern, epochs: u32) -> Self {
@@ -515,6 +548,30 @@ mod tests {
                 0.5,
                 1.5,
             )
+    }
+
+    #[test]
+    fn schedule_names_parse_to_the_canned_timelines() {
+        let parse = |name| DemandTimeline::parse_schedule(name, 400.0, 3);
+        assert_eq!(
+            parse("shifthot4"),
+            Some(DemandTimeline::shifting_hotspot(4, 400.0, 4, 3, 5))
+        );
+        assert_eq!(parse("hpcmix"), Some(DemandTimeline::hpc_mix(400.0, 3)));
+        assert_eq!(
+            parse("steady"),
+            Some(DemandTimeline::steady(
+                TrafficPattern::Permutation { demand_gbps: 400.0 },
+                12
+            ))
+        );
+        assert_eq!(
+            parse("churn"),
+            Some(DemandTimeline::elastic_churn(400.0, 3))
+        );
+        for bad in ["shifthot", "shifthot-1", "elastic-churn", "Steady", ""] {
+            assert_eq!(parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

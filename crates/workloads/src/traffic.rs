@@ -152,7 +152,9 @@ impl DemandSignature {
 }
 
 impl TrafficPattern {
-    /// A short stable label used in sweep-report rows and CLI parsing.
+    /// A short stable label used in sweep-report rows; it carries every
+    /// parameter but the demand, and [`TrafficPattern::parse`] reads it
+    /// back.
     pub fn label(&self) -> String {
         match self {
             TrafficPattern::Uniform { flows_per_mcm, .. } => format!("uniform{flows_per_mcm}"),
@@ -161,6 +163,44 @@ impl TrafficPattern {
             TrafficPattern::NearestNeighbor { neighbors, .. } => format!("neighbor{neighbors}"),
             TrafficPattern::AllToAll { .. } => "alltoall".to_string(),
         }
+    }
+
+    /// Parse a label produced by [`TrafficPattern::label`] — `uniformN`,
+    /// `permutation`, `hotspotN`, `neighborN` or `alltoall` — with
+    /// `demand_gbps` per flow; `None` for anything else.
+    ///
+    /// ```
+    /// use workloads::TrafficPattern;
+    /// assert_eq!(
+    ///     TrafficPattern::parse("hotspot4", 400.0),
+    ///     Some(TrafficPattern::HotSpot { hot_mcms: 4, demand_gbps: 400.0 })
+    /// );
+    /// assert_eq!(TrafficPattern::parse("spiral", 400.0), None);
+    /// ```
+    pub fn parse(label: &str, demand_gbps: f64) -> Option<Self> {
+        let numbered = |prefix: &str| label.strip_prefix(prefix)?.parse::<u32>().ok();
+        Some(match label {
+            "permutation" => TrafficPattern::Permutation { demand_gbps },
+            "alltoall" => TrafficPattern::AllToAll { demand_gbps },
+            _ => {
+                if let Some(flows_per_mcm) = numbered("uniform") {
+                    TrafficPattern::Uniform {
+                        flows_per_mcm,
+                        demand_gbps,
+                    }
+                } else if let Some(hot_mcms) = numbered("hotspot") {
+                    TrafficPattern::HotSpot {
+                        hot_mcms,
+                        demand_gbps,
+                    }
+                } else {
+                    TrafficPattern::NearestNeighbor {
+                        neighbors: numbered("neighbor")?,
+                        demand_gbps,
+                    }
+                }
+            }
+        })
     }
 
     /// Per-flow demand in Gbps.
@@ -485,5 +525,23 @@ mod tests {
                 "alltoall"
             ]
         );
+        for p in PATTERNS {
+            assert_eq!(
+                TrafficPattern::parse(&p.label(), p.demand_gbps()),
+                Some(p),
+                "{}",
+                p.label()
+            );
+        }
+        for bad in [
+            "spiral",
+            "uniform",
+            "hotspot-1",
+            "neighborx",
+            "alltoall2",
+            "",
+        ] {
+            assert_eq!(TrafficPattern::parse(bad, 100.0), None, "{bad:?}");
+        }
     }
 }
