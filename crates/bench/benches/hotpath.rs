@@ -34,29 +34,39 @@ fn fabric_with(mcm_count: u32, kind: FabricKind) -> RackFabric {
 }
 
 /// The flowsim bench cases, shared by the measurement loop and the
-/// relative-performance floor so neither can drift to a different set.
-fn flowsim_cases() -> [(&'static str, TrafficPattern); 2] {
+/// relative-performance floor so neither can drift to a different set:
+/// the reference grid's three patterns at 350 MCMs, with all-to-all (the
+/// largest flow list, 122,150 flows) on both fabric constructions.
+fn flowsim_cases() -> [(&'static str, FabricKind, TrafficPattern); 4] {
+    let alltoall = TrafficPattern::AllToAll { demand_gbps: 8.0 };
     [
         (
             "permutation_350mcm",
+            FabricKind::ParallelAwgrs,
             TrafficPattern::Permutation { demand_gbps: 600.0 },
         ),
         (
             "hotspot8_350mcm",
+            FabricKind::ParallelAwgrs,
             TrafficPattern::HotSpot {
                 hot_mcms: 8,
                 demand_gbps: 500.0,
             },
         ),
+        ("alltoall_350mcm_awgr", FabricKind::ParallelAwgrs, alltoall),
+        ("alltoall_350mcm_wave", FabricKind::WaveSelective, alltoall),
     ]
 }
 
 /// `FlowSimulator::run` vs `run_in` with a warm [`FlowArena`]: the per-call
 /// cost of the wavelength allocator, with and without steady-state reuse.
+/// One more case times `run_each_in` with a no-op sink, the sweep engine's
+/// entry point, which folds the summary and never builds the per-flow
+/// vector.
 fn bench_flowsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("flowsim");
-    let fabric = RackFabric::paper_awgr();
-    for (label, pattern) in flowsim_cases() {
+    for (label, kind, pattern) in flowsim_cases() {
+        let fabric = fabric_with(350, kind);
         let flows = pattern.flows(350, 7);
         g.bench_with_input(
             BenchmarkId::new("run_alloc", label),
@@ -79,6 +89,17 @@ fn bench_flowsim(c: &mut Criterion) {
             },
         );
     }
+    let fabric = RackFabric::paper_awgr();
+    let flows = TrafficPattern::AllToAll { demand_gbps: 8.0 }.flows(350, 7);
+    g.bench_with_input(
+        BenchmarkId::new("run_each_in_noop", "alltoall_350mcm_awgr"),
+        &flows,
+        |b, flows: &Vec<Flow>| {
+            let sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
+            let mut arena = FlowArena::new();
+            b.iter(|| sim.run_each_in(&mut arena, flows, |_| {}))
+        },
+    );
     g.finish();
     // Relative-performance floor, applied to every flowsim pair: arena
     // reuse must never cost more than 5% over the allocating path on the
@@ -87,7 +108,7 @@ fn bench_flowsim(c: &mut Criterion) {
     // identity-slice candidate fast path in `run_in` (which once lost to
     // the allocating path's filter-built candidates on permutation — the
     // inversion a recorded BENCH_flowsim.json would have pinned).
-    for (label, _) in flowsim_cases() {
+    for (label, _, _) in flowsim_cases() {
         let alloc = criterion::recorded_mean_ns("flowsim", &format!("run_alloc/{label}"))
             .expect("run_alloc recorded");
         let arena = criterion::recorded_mean_ns("flowsim", &format!("run_in_arena/{label}"))

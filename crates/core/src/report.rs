@@ -93,7 +93,8 @@ impl ThroughputStats {
 /// `EnergyModel`, which is bit-identical because energy accounting is a
 /// pure function of the report. Independently, a per-worker demand-matrix
 /// memo reuses `TrafficPattern::flows` / `DemandTimeline::epoch_matrices`
-/// expansions across scenarios that share one (`matrices_reused`).
+/// expansions across scenarios that share one; `matrices_reused` counts
+/// the leaders whose demand an earlier leader of their batch shares.
 ///
 /// Like [`ThroughputStats`], this block is *metadata about how the report
 /// was produced*, not a simulation result: reuse never changes a single
@@ -111,8 +112,11 @@ pub struct ReuseStats {
     /// Scenarios materialized by replaying a leader's retained report
     /// instead of solving.
     pub followers_replayed: usize,
-    /// Demand-matrix expansions served from the per-worker memo instead of
-    /// being regenerated.
+    /// Leaders whose demand matrix an earlier leader of the same batch
+    /// already expands (equal demand-memo key: pattern or timeline label,
+    /// rack size, effective seed), so a worker's memo can serve it instead
+    /// of regenerating it. Counted from the batch plan, so it is the same
+    /// at every thread count.
     pub matrices_reused: usize,
     /// Estimated solver wall-clock avoided, in seconds: each replayed
     /// follower is credited its leader's measured solve time.

@@ -25,7 +25,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,6 +101,28 @@ const DEMAND_MEMO_CAP: usize = 128;
 /// Demand-memo key: `(demand identity label, mcm_count, effective seed)`.
 type MemoKey = (String, u32, u64);
 
+/// The memo key of a static pattern's demand matrix.
+fn flows_key(pattern: &TrafficPattern, mcm_count: u32, seed: u64) -> MemoKey {
+    (pattern.memo_key(), mcm_count, pattern.effective_seed(seed))
+}
+
+/// The memo key of a timeline's epoch matrices.
+fn epochs_key(timeline: &workloads::DemandTimeline, mcm_count: u32, seed: u64) -> MemoKey {
+    (timeline.spec_label(), mcm_count, seed)
+}
+
+/// The demand a scenario's solve expands: which [`WorkerScratch`] memo it
+/// reads (`true` for timeline epoch matrices) and its key there. Two
+/// scenarios with equal demand keys expand byte-identical demand.
+fn demand_key(scenario: &Scenario) -> (bool, MemoKey) {
+    let mcm_count = scenario.fabric.mcm_count;
+    match &scenario.load {
+        ScenarioLoad::Pattern(pattern) => (false, flows_key(pattern, mcm_count, scenario.seed)),
+        ScenarioLoad::Timeline(tc) => (true, epochs_key(&tc.timeline, mcm_count, scenario.seed)),
+        ScenarioLoad::FlexGrid(fc) => (true, epochs_key(&fc.timeline, mcm_count, scenario.seed)),
+    }
+}
+
 /// Per-worker reusable simulator state: one flow-solver arena, one
 /// timeline arena, one flex-grid arena, and the bounded demand-matrix
 /// memo, built once per pool worker and threaded through every scenario
@@ -142,14 +163,12 @@ impl WorkerScratch {
         mcm_count: u32,
         seed: u64,
         memo: bool,
-        reused: &AtomicUsize,
     ) -> Arc<Vec<Flow>> {
         if !memo {
             return Arc::new(pattern.flows(mcm_count, seed));
         }
-        let key = (pattern.memo_key(), mcm_count, pattern.effective_seed(seed));
+        let key = flows_key(pattern, mcm_count, seed);
         if let Some(hit) = self.flows_memo.get(&key) {
-            reused.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         let flows = Arc::new(pattern.flows(mcm_count, seed));
@@ -168,14 +187,12 @@ impl WorkerScratch {
         mcm_count: u32,
         seed: u64,
         memo: bool,
-        reused: &AtomicUsize,
     ) -> Arc<Vec<Vec<Flow>>> {
         if !memo {
             return Arc::new(timeline.epoch_matrices(mcm_count, seed));
         }
-        let key = (timeline.spec_label(), mcm_count, seed);
+        let key = epochs_key(timeline, mcm_count, seed);
         if let Some(hit) = self.epochs_memo.get(&key) {
-            reused.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         let epochs = Arc::new(timeline.epoch_matrices(mcm_count, seed));
@@ -744,8 +761,11 @@ impl ReuseAccum {
 /// The compact digest of a solved scenario's report that energy replay
 /// needs: exactly the aggregate fields `EnergyModel::account*` read. A few
 /// dozen bytes per leader, so retaining one per distinct solve in a batch
-/// is free — unlike retaining full reports, whose per-flow allocation
-/// vectors run to megabytes on the 350-MCM all-to-all case.
+/// is free. Static flow solves fold their aggregates in one pass
+/// (`FlowSimulator::run_each_in` with a no-op sink) and never build the
+/// per-flow allocation vector, which would run to megabytes on the
+/// 350-MCM all-to-all case; the digest copies two fields of that folded
+/// report.
 #[derive(Debug, Clone, Copy)]
 enum RetainedReport {
     Flow {
@@ -856,17 +876,8 @@ fn execute_batch(
     reuse: bool,
     accum: &mut ReuseAccum,
 ) -> Vec<ScenarioResult> {
-    let matrices = AtomicUsize::new(0);
     let solve = |scratch: &mut WorkerScratch, s: &Scenario| {
-        solve_scenario(
-            s,
-            cache,
-            indirect_hop_ns,
-            energy_config,
-            reuse,
-            scratch,
-            &matrices,
-        )
+        solve_scenario(s, cache, indirect_hop_ns, energy_config, reuse, scratch)
     };
     if !reuse {
         return parallel_map_with(batch, WorkerScratch::new, |scratch, s| {
@@ -907,7 +918,13 @@ fn execute_batch(
             accum.solver_s_saved += solved[slot].solve_s * count as f64;
         }
     }
-    accum.matrices_reused += matrices.load(Ordering::Relaxed);
+    // Demand reuse is counted from the plan, not from memo hits, which
+    // depend on which worker happens to solve which leader.
+    let mut demands: HashSet<(bool, MemoKey)> = HashSet::with_capacity(leaders.len());
+    accum.matrices_reused += leaders
+        .iter()
+        .filter(|s| !demands.insert(demand_key(s)))
+        .count();
 
     let mut solved: Vec<Option<SolvedScenario>> = solved.into_iter().map(Some).collect();
     roles
@@ -944,7 +961,6 @@ fn solve_scenario(
     energy_config: &EnergyConfig,
     memo: bool,
     scratch: &mut WorkerScratch,
-    matrices: &AtomicUsize,
 ) -> SolvedScenario {
     let started = std::time::Instant::now();
     let fabric = cache.get(&scenario.fabric);
@@ -957,14 +973,14 @@ fn solve_scenario(
     };
     match &scenario.load {
         ScenarioLoad::Pattern(pattern) => {
-            let flows = scratch.flows(
-                pattern,
-                scenario.fabric.mcm_count,
-                scenario.seed,
-                memo,
-                matrices,
+            let flows = scratch.flows(pattern, scenario.fabric.mcm_count, scenario.seed, memo);
+            // The engine reads only the aggregates: a no-op sink, so the
+            // per-flow allocation vector is never built.
+            let report = FlowSimulator::new(fabric, flow_config).run_each_in(
+                &mut scratch.flow,
+                &flows,
+                |_| {},
             );
-            let report = FlowSimulator::new(fabric, flow_config).run_in(&mut scratch.flow, &flows);
             let retained = RetainedReport::Flow {
                 direct_gbps: report.fabric_direct_gbps,
                 indirect_gbps: report.fabric_indirect_gbps,
@@ -984,7 +1000,6 @@ fn solve_scenario(
                 energy: account_retained(&retained, scenario, energy_config),
                 flexgrid: None,
             };
-            scratch.flow.recycle(report);
             SolvedScenario {
                 result,
                 retained,
@@ -992,13 +1007,8 @@ fn solve_scenario(
             }
         }
         ScenarioLoad::Timeline(tc) => {
-            let epochs = scratch.epochs(
-                &tc.timeline,
-                scenario.fabric.mcm_count,
-                scenario.seed,
-                memo,
-                matrices,
-            );
+            let epochs =
+                scratch.epochs(&tc.timeline, scenario.fabric.mcm_count, scenario.seed, memo);
             let sim = TimelineSimulator::new(
                 fabric,
                 TimelineConfig {
@@ -1039,13 +1049,8 @@ fn solve_scenario(
             // Flex-grid scenarios share their timeline's seed derivation
             // with wavelength-timeline scenarios, so the two layers are
             // graded against the identical epoch-by-epoch demand.
-            let epochs = scratch.epochs(
-                &fc.timeline,
-                scenario.fabric.mcm_count,
-                scenario.seed,
-                memo,
-                matrices,
-            );
+            let epochs =
+                scratch.epochs(&fc.timeline, scenario.fabric.mcm_count, scenario.seed, memo);
             let sim = FlexGridSimulator::new(
                 fabric,
                 FlexGridConfig {

@@ -34,9 +34,11 @@
 //! oracle, precisely as `TimelineSimulator::run_exhaustive` is for the
 //! wavelength layer.
 //!
-//! Scale note: the flat occupancy board is `mcms² × slots` bools; at the
-//! paper's 350-MCM WSS rack that is ~376 MB, so sweeps and tests exercise
-//! flex-grid at ≤ 64 MCMs where the board is a few MB.
+//! Scale note: the flat occupancy board is `mcms² × slots` bools, about
+//! 376 MB of address space at the paper's 350-MCM WSS rack. It is
+//! allocated zeroed, so pages that no lightpath touches never become
+//! resident: a 350-MCM run (wave, hpcmix, bestfit+defrag) peaks at about
+//! 20 MiB RSS. Tests and shipped grids use ≤ 64 MCMs only to stay fast.
 
 use crate::flowsim::Flow;
 use crate::rackfabric::RackFabric;

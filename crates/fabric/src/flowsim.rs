@@ -113,7 +113,8 @@ impl FlowAllocation {
 /// Aggregate report over all flows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSimReport {
-    /// Per-flow allocations.
+    /// Per-flow allocations, in flow order. Empty in a report from
+    /// [`FlowSimulator::run_each_in`], which hands them to its sink instead.
     pub allocations: Vec<FlowAllocation>,
     /// Total offered demand (Gbps).
     pub offered_gbps: f64,
@@ -191,7 +192,9 @@ pub struct FlowArena {
     board: OccupancyBoard,
     /// Pairs occupied on the board by the previous run; cleared entry by
     /// entry on reuse instead of wiping (or reallocating) the whole
-    /// `N x N` board.
+    /// `N x N` board. Recording stops once the list reaches the dense
+    /// threshold [`FlowArena::prepare`] returns, since the next run wipes
+    /// the board then anyway.
     touched: Vec<(u32, u32)>,
     sanitized: Vec<Flow>,
     direct_shares: Vec<f64>,
@@ -237,9 +240,13 @@ impl FlowArena {
     /// coverage the sequential memset is cheaper than chasing the list —
     /// exactly the regime indirect-heavy patterns (hotspot) put the arena
     /// in.
-    fn prepare(&mut self, mcm_count: u32) {
+    ///
+    /// Returns that dense threshold: a run may stop recording touched pairs
+    /// once the list is at least this long (all-to-all touches every pair).
+    fn prepare(&mut self, mcm_count: u32) -> usize {
         let cells = mcm_count as usize * mcm_count as usize;
-        if self.board.mcm_count() == mcm_count && self.touched.len() < cells / 8 {
+        let dense = cells / 8;
+        if self.board.mcm_count() == mcm_count && self.touched.len() < dense {
             for &(src, dst) in &self.touched {
                 self.board.clear_pair(src, dst);
             }
@@ -251,6 +258,7 @@ impl FlowArena {
             self.ident.clear();
             self.ident.extend(0..mcm_count);
         }
+        dense
     }
 }
 
@@ -312,11 +320,63 @@ impl<'a> FlowSimulator<'a> {
     /// assert_eq!(empty.mean_latency_ns, 0.0);
     /// ```
     pub fn run(&self, flows: &[Flow]) -> FlowSimReport {
-        // `run` keeps the original filtered candidate build: it is the
-        // independent oracle the bench floors and equivalence tests pin the
-        // arena fast path against (the same role `run_exhaustive` plays for
-        // the incremental timeline).
-        self.run_core(&mut FlowArena::new(), flows, false)
+        // `run` is the independent oracle the equivalence tests and bench
+        // floors pin the arena kernel against (the role `run_exhaustive`
+        // plays for the incremental timeline): its own fresh board, the
+        // filtered candidate build, the per-flow allocation vector and the
+        // separate multi-pass `summarize`.
+        let gbps_per_wavelength = self.fabric.config().gbps_per_wavelength;
+        let mcm_count = self.fabric.config().mcm_count;
+        let mut board = OccupancyBoard::new(mcm_count);
+        let sanitized: Vec<Flow> = flows.iter().map(|f| f.sanitized()).collect();
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+
+        // Pass 1: direct allocation.
+        let mut direct_shares = Vec::with_capacity(sanitized.len());
+        for flow in &sanitized {
+            if flow.src == flow.dst || flow.demand_gbps <= 0.0 {
+                direct_shares.push(flow.demand_gbps.max(0.0));
+                continue;
+            }
+            let needed = (flow.demand_gbps / gbps_per_wavelength).ceil().max(0.0) as u32;
+            let granted = needed.min(board.free_wavelengths(self.fabric, flow.src, flow.dst));
+            board.occupy(flow.src, flow.dst, granted);
+            direct_shares.push((granted as f64 * gbps_per_wavelength).min(flow.demand_gbps));
+        }
+
+        // Pass 2: indirect allocation of the residual demand.
+        let mut allocations = Vec::with_capacity(sanitized.len());
+        let mut candidates: Vec<u32> = Vec::new();
+        for (flow, &direct_gbps) in sanitized.iter().zip(&direct_shares) {
+            let mut indirect_gbps = 0.0;
+            let residual = flow.demand_gbps - direct_gbps;
+            if residual > 1e-9 && flow.src != flow.dst {
+                let mut remaining_wavelengths = (residual / gbps_per_wavelength).ceil() as u32;
+                // Candidate intermediates in random (Valiant) order.
+                candidates.clear();
+                candidates.extend((0..mcm_count).filter(|&m| m != flow.src && m != flow.dst));
+                candidates.shuffle(&mut rng);
+                for &m in &candidates {
+                    if remaining_wavelengths == 0 {
+                        break;
+                    }
+                    let leg1 = board.free_wavelengths(self.fabric, flow.src, m);
+                    let leg2 = board.free_wavelengths(self.fabric, m, flow.dst);
+                    let usable = leg1.min(leg2).min(remaining_wavelengths);
+                    if usable == 0 {
+                        continue;
+                    }
+                    board.occupy(flow.src, m, usable);
+                    board.occupy(m, flow.dst, usable);
+                    remaining_wavelengths -= usable;
+                    indirect_gbps += usable as f64 * gbps_per_wavelength;
+                }
+                indirect_gbps = indirect_gbps.min(residual);
+            }
+            allocations.push(self.allocation(*flow, direct_gbps, indirect_gbps));
+        }
+
+        self.summarize(allocations)
     }
 
     /// [`run`](FlowSimulator::run) through a caller-provided scratch
@@ -324,29 +384,62 @@ impl<'a> FlowSimulator<'a> {
     /// per run. Results are bit-identical to `run` — the arena is pure
     /// scratch (see the [`FlowArena`] docs for the reuse pattern, including
     /// [`FlowArena::recycle`] for the returned report's allocation buffer).
-    /// This is the hot path: the indirect pass builds candidate lists from
-    /// the arena's identity buffer with three slice copies per flow instead
-    /// of the filtered rebuild `run` uses, with identical contents and
-    /// therefore identical shuffle draws.
+    ///
+    /// This is [`run_each_in`](FlowSimulator::run_each_in) with a sink that
+    /// collects every allocation into the arena's allocation vector, for
+    /// callers that want the per-flow list.
     pub fn run_in(&self, arena: &mut FlowArena, flows: &[Flow]) -> FlowSimReport {
-        self.run_core(arena, flows, true)
+        let mut allocations = std::mem::take(&mut arena.allocations);
+        allocations.clear();
+        allocations.reserve(flows.len());
+        let mut report = self.run_each_in(arena, flows, |a| allocations.push(*a));
+        report.allocations = allocations;
+        report
     }
 
-    fn run_core(
+    /// The allocation kernel: the same two passes and the same bits as
+    /// [`run`](FlowSimulator::run), through a scratch [`FlowArena`], handing
+    /// each flow's [`FlowAllocation`] to `on_flow` in flow order instead of
+    /// collecting them.
+    ///
+    /// The returned report's aggregates are folded during the indirect
+    /// pass, in flow order, with the exact arithmetic of `run`'s summary;
+    /// its `allocations` vector is **empty**. Callers that only read the
+    /// aggregates (the sweep engine) pass a no-op sink and never build the
+    /// per-flow vector; callers that fold per pair (the timeline re-steer)
+    /// write straight from the sink.
+    ///
+    /// The indirect pass builds each flow's candidate list from the arena's
+    /// identity buffer with three slice copies instead of `run`'s filtered
+    /// rebuild; the contents are identical, so the shuffle draws are too.
+    ///
+    /// ```
+    /// use fabric::{Flow, FlowArena, FlowSimConfig, FlowSimulator, RackFabric};
+    ///
+    /// let fabric = RackFabric::paper_awgr();
+    /// let sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
+    /// let flows = [Flow::new(0, 1, 100.0), Flow::new(1, 2, 400.0)];
+    ///
+    /// let mut seen = Vec::new();
+    /// let report = sim.run_each_in(&mut FlowArena::new(), &flows, |a| seen.push(*a));
+    /// let oracle = sim.run(&flows);
+    /// assert!(report.allocations.is_empty());
+    /// assert_eq!(seen, oracle.allocations);
+    /// assert_eq!(report.offered_gbps, oracle.offered_gbps);
+    /// assert_eq!(report.mean_latency_ns, oracle.mean_latency_ns);
+    /// ```
+    pub fn run_each_in(
         &self,
         arena: &mut FlowArena,
         flows: &[Flow],
-        fast_candidates: bool,
+        mut on_flow: impl FnMut(&FlowAllocation),
     ) -> FlowSimReport {
         let gbps_per_wavelength = self.fabric.config().gbps_per_wavelength;
-        let mcm_count = self.fabric.config().mcm_count;
-        arena.prepare(mcm_count);
+        let touch_limit = arena.prepare(self.fabric.config().mcm_count);
         // Sanitize the demand matrix per the contract above.
         arena.sanitized.clear();
         arena.sanitized.extend(flows.iter().map(|f| f.sanitized()));
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        arena.allocations.clear();
-        arena.allocations.reserve(arena.sanitized.len());
 
         // Pass 1: direct allocation.
         arena.direct_shares.clear();
@@ -365,37 +458,34 @@ impl<'a> FlowSimulator<'a> {
             // only lengthen the delta-clear list.
             if granted > 0 {
                 arena.board.occupy(flow.src, flow.dst, granted);
-                arena.touched.push((flow.src, flow.dst));
+                if arena.touched.len() < touch_limit {
+                    arena.touched.push((flow.src, flow.dst));
+                }
             }
             let granted_gbps = (granted as f64 * gbps_per_wavelength).min(flow.demand_gbps);
             arena.direct_shares.push(granted_gbps);
         }
 
-        // Pass 2: indirect allocation of the residual demand.
+        // Pass 2: indirect allocation of the residual demand, folding the
+        // summary as each flow's allocation is final.
+        let mut summary = SummaryFold::new();
         for (flow, &direct_gbps) in arena.sanitized.iter().zip(arena.direct_shares.iter()) {
             let mut indirect_gbps = 0.0;
             let residual = flow.demand_gbps - direct_gbps;
             if residual > 1e-9 && flow.src != flow.dst {
                 let mut remaining_wavelengths = (residual / gbps_per_wavelength).ceil() as u32;
-                // Candidate intermediates in random (Valiant) order. The
-                // shuffle consumes the same RNG draws whatever buffer backs
-                // the candidate list, so arena reuse cannot perturb it.
+                // Candidate intermediates in random (Valiant) order:
+                // ascending MCM ids minus the two endpoints, as three
+                // contiguous copies of the identity buffer — the exact
+                // sequence `run`'s filtered build produces, so the shuffle
+                // consumes the same RNG draws.
+                let lo = flow.src.min(flow.dst) as usize;
+                let hi = flow.src.max(flow.dst) as usize;
+                let ident = &arena.ident;
                 arena.candidates.clear();
-                if fast_candidates {
-                    // Ascending MCM ids minus the two endpoints, as three
-                    // contiguous copies of the identity buffer — the exact
-                    // sequence the filtered build below produces.
-                    let lo = flow.src.min(flow.dst) as usize;
-                    let hi = flow.src.max(flow.dst) as usize;
-                    let ident = &arena.ident;
-                    arena.candidates.extend_from_slice(&ident[..lo]);
-                    arena.candidates.extend_from_slice(&ident[lo + 1..hi]);
-                    arena.candidates.extend_from_slice(&ident[hi + 1..]);
-                } else {
-                    arena
-                        .candidates
-                        .extend((0..mcm_count).filter(|&m| m != flow.src && m != flow.dst));
-                }
+                arena.candidates.extend_from_slice(&ident[..lo]);
+                arena.candidates.extend_from_slice(&ident[lo + 1..hi]);
+                arena.candidates.extend_from_slice(&ident[hi + 1..]);
                 arena.candidates.shuffle(&mut rng);
                 for &m in &arena.candidates {
                     if remaining_wavelengths == 0 {
@@ -409,32 +499,40 @@ impl<'a> FlowSimulator<'a> {
                     }
                     arena.board.occupy(flow.src, m, usable);
                     arena.board.occupy(m, flow.dst, usable);
-                    arena.touched.push((flow.src, m));
-                    arena.touched.push((m, flow.dst));
+                    if arena.touched.len() < touch_limit {
+                        arena.touched.push((flow.src, m));
+                        arena.touched.push((m, flow.dst));
+                    }
                     remaining_wavelengths -= usable;
                     indirect_gbps += usable as f64 * gbps_per_wavelength;
                 }
                 indirect_gbps = indirect_gbps.min(residual);
             }
-
-            let satisfied = direct_gbps + indirect_gbps;
-            let latency = if satisfied > 0.0 {
-                (direct_gbps * self.config.direct_latency_ns
-                    + indirect_gbps
-                        * (self.config.direct_latency_ns + self.config.indirect_hop_latency_ns))
-                    / satisfied
-            } else {
-                0.0
-            };
-            arena.allocations.push(FlowAllocation {
-                flow: *flow,
-                direct_gbps,
-                indirect_gbps,
-                latency_ns: latency,
-            });
+            let allocation = self.allocation(*flow, direct_gbps, indirect_gbps);
+            summary.add(&allocation);
+            on_flow(&allocation);
         }
 
-        self.summarize(std::mem::take(&mut arena.allocations))
+        summary.finish()
+    }
+
+    /// One flow's allocation, with its satisfied-weighted latency.
+    fn allocation(&self, flow: Flow, direct_gbps: f64, indirect_gbps: f64) -> FlowAllocation {
+        let satisfied = direct_gbps + indirect_gbps;
+        let latency_ns = if satisfied > 0.0 {
+            (direct_gbps * self.config.direct_latency_ns
+                + indirect_gbps
+                    * (self.config.direct_latency_ns + self.config.indirect_hop_latency_ns))
+                / satisfied
+        } else {
+            0.0
+        };
+        FlowAllocation {
+            flow,
+            direct_gbps,
+            indirect_gbps,
+            latency_ns,
+        }
     }
 
     fn summarize(&self, allocations: Vec<FlowAllocation>) -> FlowSimReport {
@@ -475,6 +573,75 @@ impl<'a> FlowSimulator<'a> {
             indirect_fraction: indirect,
             unsatisfied_fraction: unsatisfied,
             mean_latency_ns: mean_latency,
+        }
+    }
+}
+
+/// The aggregates of [`FlowSimulator::summarize`], folded one allocation
+/// at a time in flow order. Every running sum starts from `-0.0`, the
+/// identity `Iterator::sum::<f64>` starts from, and adds the same terms in
+/// the same order, so the finished report is bit-identical to summarizing
+/// the collected vector — including the sign of an empty sum.
+struct SummaryFold {
+    flows: usize,
+    offered: f64,
+    satisfied: f64,
+    fabric_direct: f64,
+    fabric_indirect: f64,
+    weighted_latency: f64,
+    direct_only: usize,
+    indirect: usize,
+    unsatisfied: usize,
+}
+
+impl SummaryFold {
+    fn new() -> Self {
+        SummaryFold {
+            flows: 0,
+            offered: -0.0,
+            satisfied: -0.0,
+            fabric_direct: -0.0,
+            fabric_indirect: -0.0,
+            weighted_latency: -0.0,
+            direct_only: 0,
+            indirect: 0,
+            unsatisfied: 0,
+        }
+    }
+
+    fn add(&mut self, a: &FlowAllocation) {
+        self.flows += 1;
+        self.offered += a.flow.demand_gbps;
+        self.satisfied += a.satisfied_gbps();
+        // Fabric-crossing traffic only: self-flows are served MCM-locally.
+        if a.flow.src != a.flow.dst {
+            self.fabric_direct += a.direct_gbps;
+            self.fabric_indirect += a.indirect_gbps;
+        }
+        let satisfaction = a.satisfaction();
+        self.direct_only += usize::from(a.indirect_gbps <= 0.0 && satisfaction >= 1.0 - 1e-9);
+        self.indirect += usize::from(a.indirect_gbps > 0.0);
+        self.unsatisfied += usize::from(satisfaction < 1.0 - 1e-9);
+        self.weighted_latency += a.latency_ns * a.satisfied_gbps();
+    }
+
+    /// The report, with an empty allocation vector.
+    fn finish(self) -> FlowSimReport {
+        let n = self.flows.max(1) as f64;
+        FlowSimReport {
+            allocations: Vec::new(),
+            offered_gbps: self.offered,
+            satisfied_gbps: self.satisfied,
+            fabric_direct_gbps: self.fabric_direct,
+            fabric_indirect_gbps: self.fabric_indirect,
+            direct_only_fraction: self.direct_only as f64 / n,
+            indirect_fraction: self.indirect as f64 / n,
+            unsatisfied_fraction: self.unsatisfied as f64 / n,
+            mean_latency_ns: if self.satisfied > 0.0 {
+                self.weighted_latency / self.satisfied
+            } else {
+                0.0
+            },
         }
     }
 }

@@ -148,15 +148,28 @@ pub struct RackFabric {
     switch_membership: Vec<Vec<bool>>,
     /// Ports (256-wavelength bundles) available per MCM for switch fabrics.
     ports_per_mcm: u32,
+    /// Direct wavelengths per ordered MCM pair, row-major
+    /// (`direct[a * mcm_count + b]`), filled once by [`RackFabric::new`]
+    /// from [`RackFabric::compute_direct_wavelengths`]. The flow kernel
+    /// looks a pair up once per flow and twice per Valiant candidate, so a
+    /// table read replaces an 11-row membership scan on switch fabrics.
+    direct: Vec<u32>,
 }
 
 impl RackFabric {
     /// Build the fabric described by `config`.
     pub fn new(config: RackFabricConfig) -> Self {
-        match config.kind {
+        let mut fabric = match config.kind {
             FabricKind::ParallelAwgrs => Self::build_awgr(config),
             FabricKind::WaveSelective | FabricKind::Spatial => Self::build_switched(config),
+        };
+        let n = config.mcm_count;
+        let mut direct = Vec::with_capacity(n as usize * n as usize);
+        for a in 0..n {
+            direct.extend((0..n).map(|b| fabric.compute_direct_wavelengths(a, b)));
         }
+        fabric.direct = direct;
+        fabric
     }
 
     /// The paper's case (A) fabric.
@@ -189,6 +202,7 @@ impl RackFabric {
             partial_plane_reach,
             switch_membership: Vec::new(),
             ports_per_mcm: 0,
+            direct: Vec::new(),
         }
     }
 
@@ -227,6 +241,7 @@ impl RackFabric {
             partial_plane_reach: 0,
             switch_membership: membership,
             ports_per_mcm,
+            direct: Vec::new(),
         }
     }
 
@@ -245,9 +260,21 @@ impl RackFabric {
         }
     }
 
-    /// Direct wavelengths between two distinct MCMs.
+    /// Direct wavelengths between two distinct MCMs (0 for `a == b`).
+    ///
+    /// # Panics
+    ///
+    /// If either MCM index is outside the rack.
     pub fn direct_wavelengths(&self, a: u32, b: u32) -> u32 {
         assert!(a < self.config.mcm_count && b < self.config.mcm_count);
+        self.direct[a as usize * self.config.mcm_count as usize + b as usize]
+    }
+
+    /// The direct-wavelength count of one pair from the construction
+    /// itself: the AWGR closed form, or the shared-switch count times the
+    /// wavelengths per switch port. Fills the table behind
+    /// [`RackFabric::direct_wavelengths`].
+    fn compute_direct_wavelengths(&self, a: u32, b: u32) -> u32 {
         if a == b {
             return 0;
         }
@@ -305,8 +332,8 @@ impl RackFabric {
 
     /// Compute the connectivity report over all MCM pairs.
     ///
-    /// For the paper's 350-MCM rack this is ~61k pairs — cheap for the AWGR
-    /// closed form, and still fast for the switch membership table.
+    /// For the paper's 350-MCM rack this is ~61k reads of the
+    /// direct-wavelength table.
     pub fn report(&self) -> FabricReport {
         let n = self.config.mcm_count;
         let mut min_w = u32::MAX;
@@ -462,6 +489,72 @@ mod tests {
         let r = f.report();
         let bw = f.direct_bandwidth(0, 175);
         assert!(bw.gbps() >= r.min_direct_bandwidth_gbps - 1e-9);
+    }
+
+    #[test]
+    fn direct_wavelength_table_matches_the_construction_for_every_pair() {
+        // (mcm_count, fibers, wavelengths per fiber): the paper rack, the
+        // degenerate racks, and non-paper escape provisioning.
+        let shapes = [
+            (350, 32, 64),
+            (0, 32, 64),
+            (1, 32, 64),
+            (2, 32, 64),
+            (8, 32, 64),
+            (64, 32, 64),
+            (64, 1, 8),
+            (64, 64, 64),
+            (8, 1, 8),
+        ];
+        for kind in [
+            FabricKind::ParallelAwgrs,
+            FabricKind::WaveSelective,
+            FabricKind::Spatial,
+        ] {
+            for (mcm_count, fibers_per_mcm, wavelengths_per_fiber) in shapes {
+                let config = RackFabricConfig {
+                    mcm_count,
+                    fibers_per_mcm,
+                    wavelengths_per_fiber,
+                    ..RackFabricConfig::paper_rack(kind)
+                };
+                let f = RackFabric::new(config);
+                assert_eq!(f.direct.len(), (mcm_count * mcm_count) as usize);
+                let per_port = kind.switch_config().effective_wavelengths_per_port();
+                let total = config.wavelengths_per_mcm();
+                let awgr_ports = SwitchConfig::CascadedAwgr.effective_radix();
+                let reach = (total % awgr_ports).min(mcm_count.saturating_sub(1));
+                for a in 0..mcm_count {
+                    for b in 0..mcm_count {
+                        let got = f.direct_wavelengths(a, b);
+                        assert_eq!(
+                            got,
+                            f.compute_direct_wavelengths(a, b),
+                            "{config:?} ({a},{b})"
+                        );
+                        let want = if a == b {
+                            0
+                        } else if kind == FabricKind::ParallelAwgrs {
+                            let forward = (b + mcm_count - a) % mcm_count;
+                            total / awgr_ports + u32::from(forward <= reach)
+                        } else {
+                            f.shared_switches(a, b) * per_port
+                        };
+                        assert_eq!(got, want, "{config:?} ({a},{b})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn direct_wavelengths_rejects_out_of_rack_pairs() {
+        let mut cfg = RackFabricConfig::paper_rack(FabricKind::WaveSelective);
+        cfg.mcm_count = 4;
+        // In the flat table, (0, 4) would alias (1, 0); the bounds check
+        // must fire instead.
+        RackFabric::new(cfg).direct_wavelengths(0, 4);
     }
 
     #[test]

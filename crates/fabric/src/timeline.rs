@@ -632,27 +632,33 @@ impl<'a> TimelineSimulator<'a> {
         // Retire the previous assignment wholesale: one generation bump.
         arena.grant_gen += 1;
         arena.grant_touched.clear();
-        let report =
-            FlowSimulator::new(self.fabric, config).run_in(&mut arena.flow_arena, &arena.sanitized);
-        for a in &report.allocations {
-            if a.flow.src == a.flow.dst {
-                continue;
-            }
-            let i = arena.index(a.flow.src, a.flow.dst);
-            // `grant_latency` holds the satisfied-weighted latency *sum*
-            // during the fold; finalized to a mean below.
-            if arena.grant_stamp[i] != arena.grant_gen {
-                arena.grant_stamp[i] = arena.grant_gen;
-                arena.grant_direct[i] = a.direct_gbps;
-                arena.grant_indirect[i] = a.indirect_gbps;
-                arena.grant_latency[i] = a.latency_ns * a.satisfied_gbps();
-                arena.grant_touched.push(i);
-            } else {
-                arena.grant_direct[i] += a.direct_gbps;
-                arena.grant_indirect[i] += a.indirect_gbps;
-                arena.grant_latency[i] += a.latency_ns * a.satisfied_gbps();
-            }
-        }
+        let nodes = arena.nodes as usize;
+        let gen = arena.grant_gen;
+        // The sink folds each allocation into the grant matrices as the
+        // kernel finalizes it, so the per-flow vector is never built.
+        FlowSimulator::new(self.fabric, config).run_each_in(
+            &mut arena.flow_arena,
+            &arena.sanitized,
+            |a| {
+                if a.flow.src == a.flow.dst {
+                    return;
+                }
+                let i = a.flow.src as usize * nodes + a.flow.dst as usize;
+                // `grant_latency` holds the satisfied-weighted latency
+                // *sum* during the fold; finalized to a mean below.
+                if arena.grant_stamp[i] != gen {
+                    arena.grant_stamp[i] = gen;
+                    arena.grant_direct[i] = a.direct_gbps;
+                    arena.grant_indirect[i] = a.indirect_gbps;
+                    arena.grant_latency[i] = a.latency_ns * a.satisfied_gbps();
+                    arena.grant_touched.push(i);
+                } else {
+                    arena.grant_direct[i] += a.direct_gbps;
+                    arena.grant_indirect[i] += a.indirect_gbps;
+                    arena.grant_latency[i] += a.latency_ns * a.satisfied_gbps();
+                }
+            },
+        );
         for k in 0..arena.grant_touched.len() {
             let i = arena.grant_touched[k];
             let total = arena.grant_direct[i] + arena.grant_indirect[i];
@@ -662,7 +668,6 @@ impl<'a> TimelineSimulator<'a> {
                 0.0
             };
         }
-        arena.flow_arena.recycle(report);
     }
 
     /// [`evaluate`](TimelineSimulator::evaluate) against the arena's flat

@@ -119,17 +119,22 @@ fn reuse_is_byte_exact_across_load_kinds_and_thread_counts() {
 #[test]
 fn demand_matrix_memo_fires_for_seed_insensitive_replicates() {
     // AllToAll ignores the seed, so all replicates of one rack size share
-    // one demand expansion; serial execution makes the count deterministic.
+    // one demand expansion. The count comes from the batch plan, so it is
+    // the same at every thread count and on every run.
     let grid = SweepGrid::named("reuse-memo")
         .mcm_counts([16])
         .patterns([TrafficPattern::AllToAll { demand_gbps: 8.0 }])
         .replicates(4);
-    let report = rayon::with_max_threads(1, || grid.run());
-    let stats = report.reuse.expect("stats attached");
-    // No energy axis: nothing dedups, but 3 of the 4 replicates reuse the
-    // leader replicate's memoized flow list.
-    assert_eq!(stats.followers_replayed, 0);
-    assert_eq!(stats.matrices_reused, 3);
+    for (threads, runs) in [(1, 1), (2, 20), (8, 1)] {
+        for _ in 0..runs {
+            let report = rayon::with_max_threads(threads, || grid.run());
+            let stats = report.reuse.expect("stats attached");
+            // No energy axis: nothing dedups, but 3 of the 4 replicates
+            // share the leader replicate's flow list.
+            assert_eq!(stats.followers_replayed, 0);
+            assert_eq!(stats.matrices_reused, 3, "{threads} threads");
+        }
+    }
 }
 
 #[test]
